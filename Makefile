@@ -41,8 +41,9 @@ fuzzsmoke:
 	$(GO) test -fuzz FuzzSQLMiniParse -fuzztime 10s ./internal/sqlmini
 
 # Seeded chaos smoke: the default fault plan against a small SmallBank
-# under 2PL with the MVSG checker attached; exits nonzero if any
-# standing invariant (conservation, lock audit, serializability) breaks.
+# under 2PL with the online checker attached; exits nonzero if any
+# standing invariant (conservation, lock audit, serializability, a
+# lossless check) breaks.
 chaos:
 	$(GO) run ./cmd/smallbank -chaos -check -mode 2pl -customers 200 -hotspot 20 \
 		-mpl 8 -ramp 100ms -measure 500ms -retry backoff -seed 7 > /dev/null

@@ -223,32 +223,3 @@ func BenchmarkEngineUpdateTxn(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCheckerAnalyze measures MVSG construction and cycle search
-// over a recorded history.
-func BenchmarkCheckerAnalyze(b *testing.B) {
-	db := sicost.Open(sicost.EngineConfig{Mode: sicost.SnapshotFUW})
-	defer db.Close()
-	if err := sicost.CreateSmallBank(db); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sicost.LoadSmallBank(db, sicost.LoadConfig{Customers: 200, Seed: 1}); err != nil {
-		b.Fatal(err)
-	}
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
-	if _, err := workload.Run(db, workload.Config{
-		Strategy: smallbank.StrategySI, MPL: 8, Customers: 200,
-		HotspotSize: 20, HotspotProb: 0.9,
-		Measure: 200 * time.Millisecond, Seed: 3,
-	}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := chk.Analyze()
-		if rep.Txns == 0 {
-			b.Fatal("empty history")
-		}
-	}
-}

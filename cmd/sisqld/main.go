@@ -55,31 +55,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var engCfg engine.Config
-	switch *platform {
-	case "postgres":
-		engCfg = experiments.PostgresDB(1.0)
-	case "commercial":
-		engCfg = experiments.CommercialDB(1.0)
-	default:
-		fmt.Fprintf(os.Stderr, "sisqld: unknown platform %q\n", *platform)
-		os.Exit(2)
-	}
-	switch *mode {
-	case "si":
-	case "2pl":
-		engCfg.Mode = core.Strict2PL
-	case "ssi":
-		engCfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "sisqld: unknown mode %q\n", *mode)
+	engCfg, err := servedConfig(*platform, *mode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sisqld:", err)
 		os.Exit(2)
 	}
 	engCfg.LockWaitTimeout = *lockTimeout
-	// Serve on free hardware: the simulated per-operation delays model
-	// the paper's measured platforms, which is workload-harness business,
-	// not an interactive server's.
-	engCfg.Res.VirtualCPUs = 0
 
 	db := engine.Open(engCfg)
 	if err := smallbank.CreateSchema(db); err != nil {
@@ -153,4 +134,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sisqld: transaction leak: %d in flight after drain\n", n)
 		os.Exit(1)
 	}
+}
+
+// servedConfig is the engine configuration sisqld serves: the platform
+// profile's semantics (cost model, SFU rules) under the chosen mode, on
+// free hardware. The simulated per-operation delays model the paper's
+// measured platforms, which is workload-harness business, not an
+// interactive server's — and the modelled fsync would put a sleep on
+// every updating commit while no log device is attached to persist it.
+func servedConfig(platform, mode string) (engine.Config, error) {
+	var cfg engine.Config
+	switch platform {
+	case "postgres":
+		cfg = experiments.PostgresDB(1.0)
+	case "commercial":
+		cfg = experiments.CommercialDB(1.0)
+	default:
+		return cfg, fmt.Errorf("unknown platform %q", platform)
+	}
+	switch mode {
+	case "si":
+	case "2pl":
+		cfg.Mode = core.Strict2PL
+	case "ssi":
+		cfg.Mode = core.SerializableSI
+	default:
+		return cfg, fmt.Errorf("unknown mode %q", mode)
+	}
+	cfg.Res.VirtualCPUs = 0
+	cfg.WAL.FsyncLatency = 0
+	return cfg, nil
 }

@@ -8,7 +8,7 @@
 //	smallbank -strategy SI -mpl 20
 //	smallbank -strategy MaterializeBW -mpl 20 -hotspot 10 -balmix 0.6
 //	smallbank -strategy PromoteWT-sfu -platform commercial -mpl 25
-//	smallbank -strategy SI -check          # MVSG checker + live online checker
+//	smallbank -strategy SI -check          # live online serializability checker
 //	smallbank -strategies                  # list strategies
 //	smallbank -chaos -mode 2pl -check      # fault-injected run + invariant audit
 //	smallbank -crash -crash-cycles 20      # crash/recover chaos + durability audit
@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"sicost/internal/admission"
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/experiments"
@@ -63,7 +62,7 @@ func main() {
 		measure      = flag.Duration("measure", 2*time.Second, "measurement interval")
 		scale        = flag.Float64("scale", 1.0, "simulated-hardware time scale")
 		seed         = flag.Int64("seed", 1, "random seed")
-		check        = flag.Bool("check", false, "attach the MVSG serializability checker and the online windowed checker")
+		check        = flag.Bool("check", false, "attach the online windowed serializability checker to the live trace stream")
 		chaos        = flag.Bool("chaos", false, "arm the default fault plan and audit the standing invariants")
 		crash        = flag.Bool("crash", false, "run the crash/recover chaos harness and audit the durability contract")
 		crashCycles  = flag.Int("crash-cycles", 20, "crash/recover cycles for -crash")
@@ -321,18 +320,18 @@ func main() {
 		}()
 	}
 
-	var chk *checker.Checker
+	// A violation verdict fails the run only when the configuration
+	// promises serializable executions: 2PL and SSI always, plain SI only
+	// under a sound serializable strategy (§II-C). Under bare SI the
+	// anomalies ARE the experiment. Faults must never change that.
+	expectSer := engCfg.Mode != core.SnapshotFUW ||
+		(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
 	var ochk *onlinecheck.Checker
-	if *check && !*chaos {
-		// In chaos mode RunChaos attaches its own checker. Outside it,
-		// -check runs both verdict paths: the offline MVSG checker fed by
-		// the engine observer hooks, and the online windowed checker fed
-		// by the live trace stream — each cross-validating the other on
-		// the same execution. Under 2PL reads legitimately see versions
-		// newer than the begin point, so the SI read/write rules only
-		// apply to the snapshot-based modes.
-		chk = checker.New()
-		db.SetObserver(chk)
+	if *check {
+		// The online windowed checker rides the run's live trace stream
+		// (in chaos mode too: RunChaos gates on its verdict). Under 2PL
+		// reads legitimately see versions newer than the begin point, so
+		// the SI read/write rules only apply to the snapshot-based modes.
 		ochk = onlinecheck.New(onlinecheck.Config{SIRules: engCfg.Mode != core.Strict2PL})
 		if *pprofAddr != "" {
 			expvar.Publish("sicost_onlinecheck", expvar.Func(func() any { return ochk.Stats() }))
@@ -381,9 +380,7 @@ func main() {
 			policy:    policy,
 			rec:       rec,
 			tracePath: *tracePath,
-			offline:   chk,
-			expectSer: engCfg.Mode != core.SnapshotFUW ||
-				(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform)),
+			expectSer: expectSer,
 		})
 		return
 	}
@@ -391,11 +388,6 @@ func main() {
 	var res *workload.Result
 	var chaosRep *workload.ChaosReport
 	if *chaos {
-		// 2PL and SSI guarantee serializable executions regardless of
-		// strategy; under plain SI only a sound serializable strategy
-		// does. Faults must never change that.
-		expectSer := engCfg.Mode != core.SnapshotFUW ||
-			(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
 		chaosRep, err = workload.RunChaos(db, cfg, workload.ChaosConfig{
 			Specs:              workload.DefaultFaultPlan(),
 			Check:              *check,
@@ -520,28 +512,15 @@ func main() {
 		}
 	}
 
-	var offRep *checker.Report
-	if chk != nil {
-		offRep = chk.Analyze()
-		fmt.Printf("\nserializability: %s", offRep.Describe())
-	}
 	if res.Check != nil {
-		fmt.Printf("online check: %s", res.Check.Describe())
+		fmt.Printf("\nonline check: %s", res.Check.Describe())
 		st := res.Check.Stats
 		fmt.Printf("online window: %d events, peak %d committed + %d in-flight, %d retired, watermark %d\n",
 			st.Events, st.MaxWindow, st.MaxPending, st.Retired, st.Watermark)
-		if offRep != nil && offRep.Serializable != res.Check.Serializable {
-			fmt.Fprintln(os.Stderr, "warning: online and offline checkers disagree on serializability")
-		}
-		// A violation verdict fails the run only when the configuration
-		// promises serializable executions: 2PL and SSI always, plain SI
-		// only under a sound serializable strategy (§II-C). Under bare SI
-		// the anomalies ARE the experiment.
-		expectSer := engCfg.Mode != core.SnapshotFUW ||
-			(strategy.GuaranteesSerializable() && strategy.SoundOn(engCfg.Platform))
-		if expectSer && (!res.Check.Serializable || res.Check.SIViolations != 0) {
-			fmt.Fprintln(os.Stderr, "smallbank: online checker detected isolation violations")
-			os.Exit(1)
+		// In chaos mode RunChaos applies the same gate as an invariant
+		// violation.
+		if chaosRep == nil {
+			failCheck(res.Check, expectSer)
 		}
 	}
 
@@ -557,9 +536,6 @@ func main() {
 			fmt.Println("conservation: not checked (WriteCheck in mix)")
 		}
 		fmt.Printf("lock audit: %d held, %d queued\n", chaosRep.HeldLocks, chaosRep.QueuedLocks)
-		if chaosRep.CheckerReport != nil {
-			fmt.Printf("serializability under faults: %s", chaosRep.CheckerReport.Describe())
-		}
 		if !chaosRep.OK() {
 			fmt.Println("\nINVARIANT VIOLATIONS:")
 			for _, v := range chaosRep.Violations {
@@ -577,7 +553,6 @@ type openRun struct {
 	policy    workload.RetryPolicy
 	rec       *trace.Recorder
 	tracePath string
-	offline   *checker.Checker
 	expectSer bool
 }
 
@@ -652,20 +627,23 @@ func runOpenSystem(db *engine.DB, r openRun) {
 		}
 	}
 
-	var offRep *checker.Report
-	if r.offline != nil {
-		offRep = r.offline.Analyze()
-		fmt.Printf("\nserializability: %s", offRep.Describe())
-	}
 	if res.Check != nil {
-		fmt.Printf("online check: %s", res.Check.Describe())
-		if offRep != nil && offRep.Serializable != res.Check.Serializable {
-			fmt.Fprintln(os.Stderr, "warning: online and offline checkers disagree on serializability")
-		}
-		if r.expectSer && (!res.Check.Serializable || res.Check.SIViolations != 0) {
-			fmt.Fprintln(os.Stderr, "smallbank: online checker detected isolation violations")
-			os.Exit(1)
-		}
+		fmt.Printf("\nonline check: %s", res.Check.Describe())
+		failCheck(res.Check, r.expectSer)
+	}
+}
+
+// failCheck exits non-zero when the online verdict fails its gate: any
+// event dropped on the way to the checker, or — when the configuration
+// promises serializable executions — a cycle or SI-rule violation.
+func failCheck(rep *onlinecheck.Report, expectSer bool) {
+	if rep.Dropped > 0 {
+		fmt.Fprintf(os.Stderr, "smallbank: online check incomplete: %d trace events dropped\n", rep.Dropped)
+		os.Exit(1)
+	}
+	if expectSer && !rep.OK() {
+		fmt.Fprintln(os.Stderr, "smallbank: online checker detected isolation violations")
+		os.Exit(1)
 	}
 }
 

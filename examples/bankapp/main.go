@@ -140,8 +140,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	// One ring large enough for a whole phase's events: the stream is
+	// drained and checked once per phase.
+	rec := sicost.NewRecorder(sicost.RecorderOptions{Shards: 1, ShardCap: 1 << 17})
+	db.SetTracer(rec)
+	certify := func() *sicost.CheckReport {
+		dropped := rec.Dropped()
+		rep := sicost.Check(rec.Drain(), sicost.CheckConfig{SIRules: true})
+		rep.Dropped = rec.Dropped() - dropped
+		return rep
+	}
 
 	var committed, rolledBack atomic.Int64
 	var wg sync.WaitGroup
@@ -192,7 +200,7 @@ func main() {
 	}
 
 	commits, aborts := db.Stats()
-	rep := chk.Analyze()
+	rep := certify()
 	fmt.Printf("tellers: %d × %d operations\n", tellers, opsPer)
 	fmt.Printf("interactions committed: %d, rolled back by business rules: %d\n",
 		committed.Load(), rolledBack.Load())
@@ -204,7 +212,6 @@ func main() {
 	// is out of scope here — transfers alone must conserve. Run a
 	// transfers-only phase and verify exactly.
 	before := total
-	chk.Reset()
 	var wg2 sync.WaitGroup
 	for t := 0; t < tellers; t++ {
 		wg2.Add(1)
@@ -238,6 +245,6 @@ func main() {
 	} else {
 		fmt.Println("MONEY NOT CONSERVED ✗")
 	}
-	rep2 := chk.Analyze()
+	rep2 := certify()
 	fmt.Printf("phase certificate: %s", rep2.Describe())
 }

@@ -42,13 +42,17 @@ func main() {
 	fmt.Printf("alice's total balance: $%d.%02d\n", total/100, total%100)
 
 	// The paper's point: plain SI admits non-serializable executions of
-	// SmallBank. Attach the runtime checker and replay the dangerous
+	// SmallBank. Record the engine's trace and replay the dangerous
 	// interleaving (WriteCheck concurrent with TransactSaving, observed
-	// by Balance).
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	// by Balance); the checker then verifies the recorded stream.
+	rec := sicost.NewRecorder(sicost.RecorderOptions{Shards: 1, ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	check := func() *sicost.CheckReport {
+		return sicost.Check(rec.Drain(), sicost.CheckConfig{SIRules: true})
+	}
 
 	wc := db.Begin() // WriteCheck's snapshot is taken now
+	wc.SetTag("WC")
 	if err := sicost.RunSmallBank(db, sicost.StrategySI, sicost.TransactSaving,
 		sicost.TxnParams{N1: alice, V: 900_00}); err != nil {
 		log.Fatal(err)
@@ -63,13 +67,13 @@ func main() {
 	if err := wc.Commit(); err != nil {
 		log.Fatal(err)
 	}
-	rep := chk.Analyze()
+	rep := check()
 	fmt.Printf("\nplain SI, dangerous interleaving: %s", rep.Describe())
 
 	// Now the same interleaving with the paper's cheapest repair:
 	// PromoteWT-upd (an identity update on Saving inside WriteCheck).
 	// First-Updater-Wins turns the anomaly into a retriable failure.
-	chk.Reset()
+	// The next check covers only what ran since the last drain.
 	wc2 := db.Begin()
 	if err := sicost.RunSmallBank(db, sicost.StrategyPromoteWTUpd, sicost.TransactSaving,
 		sicost.TxnParams{N1: alice, V: 900_00}); err != nil {
@@ -89,7 +93,7 @@ func main() {
 	} else {
 		fmt.Println("\nPromoteWT-upd: interleaving was already safe this time.")
 	}
-	rep = chk.Analyze()
+	rep = check()
 	fmt.Printf("with the strategy: %s", rep.Describe())
 }
 

@@ -77,8 +77,8 @@ func onDutyCount(db *sicost.DB) int64 {
 func runWriteSkew(label string, mode core.CCMode) {
 	db := newDB(mode, sicost.PlatformPostgres)
 	defer db.Close()
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	rec := sicost.NewRecorder(sicost.RecorderOptions{Shards: 1, ShardCap: 1 << 12})
+	db.SetTracer(rec)
 
 	// Both doctors decide to leave at the same moment. Run the two
 	// transactions concurrently; under 2PL one blocks, so drive them
@@ -105,9 +105,9 @@ func runWriteSkew(label string, mode core.CCMode) {
 	err1, err2 := <-done1, <-done2
 
 	left := onDutyCount(db)
-	rep := chk.Analyze()
+	rep := sicost.Check(rec.Drain(), sicost.CheckConfig{SIRules: mode != sicost.Strict2PL})
 	fmt.Printf("%-9s alice: %-12v bob: %-12v on duty: %d   execution: %s\n",
-		label, short(err1), short(err2), left, rep.Classify())
+		label, short(err1), short(err2), left, rep.Anomaly())
 	if left == 0 {
 		fmt.Printf("%-9s  -> the invariant is BROKEN: this is write skew\n", "")
 	}

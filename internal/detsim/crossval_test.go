@@ -2,16 +2,18 @@ package detsim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
-	"sicost/internal/engine"
 	"sicost/internal/histories"
+	"sicost/internal/trace"
 )
 
-// TestCheckerCrossValidation is the property-based fuzzer of the issue:
-// it generates random SI-shaped committed histories and requires the
-// runtime checker and the independent brute-force MVSG oracle to agree
-// on every one. A divergence is minimized before being reported. The
+// TestCheckerCrossValidation is the property-based fuzzer: it generates
+// random SI-shaped committed histories (including stale reads no
+// correct engine would produce) and requires the online checker, fed
+// each history as an event stream, and the independent brute-force
+// MVSG oracle to agree on every one. A divergence is minimized before being reported. The
 // seed is fixed so CI explores the identical corpus every run.
 func TestCheckerCrossValidation(t *testing.T) {
 	n := 10000
@@ -43,27 +45,27 @@ func TestCheckerCrossValidation(t *testing.T) {
 
 // wsHistory is a hand-built write-skew history: both transactions start
 // at snapshot 0, read both items at version 0, and write disjoint items.
-func wsHistory() []engine.TxInfo {
-	r := func(it int, csn uint64) engine.VersionRef {
-		return engine.VersionRef{Table: histories.Table, Key: itemKeyVal(it), CSN: csn}
+func wsHistory() []Txn {
+	r := func(it int, csn uint64) Version {
+		return Version{Table: histories.Table, Key: itemKeyVal(it), CSN: csn}
 	}
-	return []engine.TxInfo{
+	return []Txn{
 		{ID: 1, StartCSN: 0, CommitCSN: 1,
-			Reads:  []engine.VersionRef{r(0, 0), r(1, 0)},
-			Writes: []engine.VersionRef{r(0, 1)}},
+			Reads:  []Version{r(0, 0), r(1, 0)},
+			Writes: []Version{r(0, 1)}},
 		{ID: 2, StartCSN: 0, CommitCSN: 2,
-			Reads:  []engine.VersionRef{r(0, 0), r(1, 0)},
-			Writes: []engine.VersionRef{r(1, 2)}},
+			Reads:  []Version{r(0, 0), r(1, 0)},
+			Writes: []Version{r(1, 2)}},
 	}
 }
 
 // TestOracleKnownVerdicts pins the oracle on histories with known
 // answers, independently of the checker.
 func TestOracleKnownVerdicts(t *testing.T) {
-	if !SerializableBrute(nil) || !SerializableBrute([]engine.TxInfo{{ID: 1}}) {
+	if !SerializableBrute(nil) || !SerializableBrute([]Txn{{ID: 1}}) {
 		t.Fatal("empty and single-transaction histories are vacuously serializable")
 	}
-	if !SerializableBrute([]engine.TxInfo{{ID: 1}, {ID: 2}}) {
+	if !SerializableBrute([]Txn{{ID: 1}, {ID: 2}}) {
 		t.Fatal("two empty transactions must be serializable")
 	}
 	h := wsHistory()
@@ -77,7 +79,7 @@ func TestOracleKnownVerdicts(t *testing.T) {
 	// Serial version: t2 starts after t1 committed and reads its write.
 	serial := wsHistory()
 	serial[1].StartCSN = 1
-	serial[1].Reads = []engine.VersionRef{
+	serial[1].Reads = []Version{
 		{Table: histories.Table, Key: itemKeyVal(0), CSN: 1},
 		{Table: histories.Table, Key: itemKeyVal(1), CSN: 0},
 	}
@@ -113,14 +115,11 @@ func TestHistoryGenShape(t *testing.T) {
 		}
 		var lastCommit uint64
 		for _, in := range h {
-			if in.ReadOnly {
-				if len(in.Writes) != 0 || in.CommitCSN != in.StartCSN {
+			if len(in.Writes) == 0 {
+				if in.CommitCSN != in.StartCSN {
 					t.Fatalf("bad read-only txn: %+v", in)
 				}
 				continue
-			}
-			if len(in.Writes) == 0 {
-				t.Fatalf("writer with no writes: %+v", in)
 			}
 			if in.CommitCSN <= lastCommit {
 				t.Fatalf("commit CSNs not ascending: %d after %d", in.CommitCSN, lastCommit)
@@ -132,6 +131,22 @@ func TestHistoryGenShape(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHistoryEventsRoundTrip: eventsOf and historyOf are inverses on a
+// committed history, tags included, and historyOf drops aborted
+// transactions.
+func TestHistoryEventsRoundTrip(t *testing.T) {
+	h := wsHistory()
+	h[0].Tag = "left"
+	evs := append(eventsOf(h),
+		trace.Event{Kind: trace.EvBegin, Tx: 9},
+		trace.Event{Kind: trace.EvReadVer, Tx: 9, Table: histories.Table, Key: itemKeyVal(0), CSN: 1},
+		trace.Event{Kind: trace.EvAbort, Tx: 9})
+	got := historyOf(evs)
+	if !reflect.DeepEqual(got, h) {
+		t.Fatalf("round trip:\n%s\nwant\n%s", FormatHistory(got), FormatHistory(h))
 	}
 }
 

@@ -14,10 +14,12 @@
 // before the releasing operation returns), so the scheduler knows
 // deterministically which pending steps to collect before moving on.
 //
-// On top of the scheduler, Explore (enumerate.go) exhaustively runs all
-// interleavings of small transaction sets, and the checker oracle
-// (oracle.go) cross-validates internal/checker against a brute-force
-// serialization-order search.
+// Every schedule is traced into a small private recorder and its
+// verdict comes from the online checker (internal/onlinecheck) over
+// that stream. On top of the scheduler, Explore (enumerate.go)
+// exhaustively runs all interleavings of small transaction sets, and
+// the oracle (oracle.go) cross-validates the checker against a
+// brute-force serialization-order search.
 package detsim
 
 import (
@@ -25,7 +27,6 @@ import (
 	"sort"
 	"strings"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/faultinject"
@@ -83,17 +84,15 @@ type Result struct {
 	// Errs maps script transaction numbers to the error that terminated
 	// them (absent for clean commits; nil-valued for explicit aborts).
 	Errs map[int]error
-	// Report is the serializability analysis of everything that
-	// committed (MVSG over the recorded reads/writes).
-	Report *checker.Report
-	// Online is the online windowed checker's verdict over the
-	// schedule's trace stream (Runner.OnlineCheck). Cross-validating it
-	// against Report is how the exhaustive interleaving suite proves
-	// the incremental checker equivalent to the post-hoc analysis.
-	Online *onlinecheck.Report
-	// Infos are the raw commit records the Report was computed from
-	// (input to the brute-force oracle).
-	Infos []engine.TxInfo
+	// Report is the online checker's verdict over the schedule's trace
+	// stream (SI rules on for the snapshot modes, off for Strict2PL),
+	// with Dropped set from the recorder's lifetime overflow count.
+	Report *onlinecheck.Report
+	// Events is the schedule's trace stream, drained once at finalize.
+	Events []trace.Event
+	// History is the committed history rebuilt from Events (input to
+	// the brute-force oracle).
+	History []Txn
 	// Final holds the final committed value of every item.
 	Final map[string]int64
 	// Contention is the engine's lock/sequencer counter snapshot after
@@ -124,20 +123,14 @@ type Runner struct {
 	// the loader's seed commit hits commit-path points too: gate specs
 	// with After to skip it.
 	Faults *faultinject.Registry
-	// Tracer, when set, records the schedule's transaction-lifecycle
-	// events (internal/trace). It is installed only after the loader's
-	// seed transaction commits, so the stream holds scripted traffic
-	// exclusively — pair with trace.CounterClock for runs whose JSONL
-	// dump is byte-stable (schedules without lock waits; a blocked
-	// step's wait/wake events race the next dispatched step's).
+	// Tracer, when set, replaces the schedule's private recorder (one
+	// small shard on trace.CounterClock). Either way the recorder is
+	// installed only after the loader's seed transaction commits, so the
+	// stream holds scripted traffic exclusively, and finalize drains it
+	// once into Result.Events — byte-stable for a counter-clock
+	// recorder on schedules without lock waits (a blocked step's
+	// wait/wake events race the next dispatched step's).
 	Tracer *trace.Recorder
-	// OnlineCheck additionally runs the schedule's trace stream through
-	// the online windowed checker (internal/onlinecheck) and stores the
-	// verdict in Result.Online. When Tracer is nil a private
-	// deterministic recorder is installed; when Tracer is set its
-	// stream is consumed (drained) at finalize. SI-rule checking is on
-	// for the snapshot modes and off for Strict2PL.
-	OnlineCheck bool
 }
 
 // Run parses the script (the histories DSL) and executes it step by
@@ -229,16 +222,14 @@ type completion struct {
 type sched struct {
 	r           Runner
 	db          *engine.DB
-	chk         *checker.Checker
 	txns        map[int]*txnState
 	byID        map[uint64]int
 	events      chan event
 	completions chan completion
 	res         *Result
-	// onlineRec is the recorder whose stream feeds the online checker
-	// at finalize (Runner.OnlineCheck): the caller's Tracer, or a small
+	// rec records the scripted traffic: the caller's Tracer, or a small
 	// private deterministic one.
-	onlineRec *trace.Recorder
+	rec *trace.Recorder
 }
 
 // waitObs adapts the scheduler to engine.WaitObserver. The hooks run
@@ -289,12 +280,10 @@ func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
 		return nil, err
 	}
 
-	chk := checker.New()
-	db.SetObserver(chk)
 	sc := &sched{
 		r:    r,
 		db:   db,
-		chk:  chk,
+		rec:  r.Tracer,
 		txns: make(map[int]*txnState, len(progs)),
 		byID: make(map[uint64]int, len(progs)),
 		// Sized so hook posts can never block the lock table: every
@@ -308,21 +297,17 @@ func newSched(r Runner, progs map[int][]histories.Step) (*sched, error) {
 			Errs:      make(map[int]error),
 		},
 	}
-	// The loader committed before the observer hooks were of interest;
-	// exclude it from the analyzed window.
-	chk.Reset()
-	if r.Tracer != nil {
-		db.SetTracer(r.Tracer)
+	// Installed after the loader's commit: the analyzed history is the
+	// scripted traffic alone.
+	if sc.rec == nil {
+		// One small shard: strict global FIFO, and cheap enough to
+		// allocate per schedule inside Explore's exhaustive DFS (the
+		// ring dominated its run time at 4096 cells). 512 events cover
+		// the fuzzer's 40-step scripts at about five events per step;
+		// an overflow shows as Report.Dropped, which Explore rejects.
+		sc.rec = trace.New(trace.Options{Shards: 1, ShardCap: 1 << 9, Clock: trace.CounterClock()})
 	}
-	if r.OnlineCheck {
-		sc.onlineRec = r.Tracer
-		if sc.onlineRec == nil {
-			// One small shard: strict global FIFO, and cheap enough to
-			// allocate per schedule inside Explore's exhaustive DFS.
-			sc.onlineRec = trace.New(trace.Options{Shards: 1, ShardCap: 1 << 12, Clock: trace.CounterClock()})
-			db.SetTracer(sc.onlineRec)
-		}
-	}
+	db.SetTracer(sc.rec)
 	db.SetWaitObserver((*waitObs)(sc))
 	for txn, prog := range progs {
 		sc.txns[txn] = &txnState{prog: prog, pending: -1}
@@ -564,8 +549,8 @@ func (sc *sched) runnable() []int {
 }
 
 // finalize marks still-blocked steps Stuck (the schedule ended without
-// waking them), tears the remaining transactions down, then computes
-// the checker report and final item values.
+// waking them), tears the remaining transactions down, then drains the
+// trace and computes the checker report and final item values.
 func (sc *sched) finalize() {
 	for _, st := range sc.txns {
 		if st.blocked && st.pending >= 0 {
@@ -575,12 +560,10 @@ func (sc *sched) finalize() {
 	sc.teardown()
 
 	sc.res.HeldLocks, sc.res.QueuedLocks = sc.db.LockAudit()
-	sc.res.Infos = sc.chk.Infos()
-	sc.res.Report = sc.chk.Analyze()
-	if sc.onlineRec != nil {
-		sc.res.Online = onlinecheck.Run(sc.onlineRec.Drain(),
-			onlinecheck.Config{SIRules: sc.r.Mode != core.Strict2PL})
-	}
+	sc.res.Events = sc.rec.Drain()
+	sc.res.History = historyOf(sc.res.Events)
+	sc.res.Report = onlinecheck.Run(sc.res.Events, onlinecheck.Config{SIRules: sc.r.Mode != core.Strict2PL})
+	sc.res.Report.Dropped = sc.rec.Dropped()
 	sc.res.Contention = sc.db.Contention()
 	sc.res.Final = make(map[string]int64)
 	_ = sc.db.ScanLatest(histories.Table, func(key core.Value, rec core.Record) bool {

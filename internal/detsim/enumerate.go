@@ -27,12 +27,6 @@ type ExploreConfig struct {
 	// inputs, not a sampling knob: within the limit the exploration is
 	// exhaustive.
 	MaxSchedules int
-	// OnlineCheck runs every finalized schedule's trace stream through
-	// the online windowed checker too, and fails the exploration with
-	// an error if its serializability verdict ever diverges from the
-	// post-hoc MVSG analysis — exhaustive cross-validation of the two
-	// checkers over every interleaving.
-	OnlineCheck bool
 }
 
 // Outcome is the observable result of one complete schedule, quotiented
@@ -193,7 +187,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	if maxSchedules == 0 {
 		maxSchedules = 100000
 	}
-	runner := Runner{Mode: cfg.Mode, Platform: cfg.Platform, Items: cfg.Items, OnlineCheck: cfg.OnlineCheck}
+	runner := Runner{Mode: cfg.Mode, Platform: cfg.Platform, Items: cfg.Items}
 
 	res := &ExploreResult{}
 	seen := make(map[string]*ScheduleOutcome)
@@ -204,9 +198,15 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		if err != nil {
 			return fmt.Errorf("detsim: schedule %v: %w", prefix, err)
 		}
-		if cfg.OnlineCheck && r.Online != nil && r.Online.Serializable != r.Report.Serializable {
-			return fmt.Errorf("detsim: schedule %v: online checker says serializable=%v, MVSG analysis says %v\nonline: %soffline: %s",
-				prefix, r.Online.Serializable, r.Report.Serializable, r.Online.Describe(), r.Report.Describe())
+		// Every interleaving cross-validates the checker against the
+		// brute-force oracle; a divergence is a bug in one of them, and
+		// a lossy trace would blind both.
+		if r.Report.Dropped > 0 {
+			return fmt.Errorf("detsim: schedule %v: trace dropped %d events", prefix, r.Report.Dropped)
+		}
+		if oracle := SerializableBrute(r.History); oracle != r.Report.Serializable {
+			return fmt.Errorf("detsim: schedule %v: checker says serializable=%v, oracle says %v\n%shistory:\n%s",
+				prefix, r.Report.Serializable, oracle, r.Report.Describe(), FormatHistory(r.History))
 		}
 		if len(runnable) == 0 {
 			// Complete: every transaction finished (a stuck-all-blocked
@@ -267,7 +267,7 @@ func outcomeOf(r *Result) Outcome {
 		}
 	}
 	if !o.Serializable {
-		o.Anomaly = r.Report.Classify()
+		o.Anomaly = r.Report.Anomaly()
 	}
 	return o
 }

@@ -57,9 +57,12 @@ func FuzzCheckerHistories(f *testing.F) {
 				// blocked transaction): not a history, nothing to check.
 				continue
 			}
-			agree, checkerSays, oracleSays := CheckerAgrees(res.Infos)
+			if res.Report.Dropped > 0 {
+				t.Fatalf("mode=%v platform=%v script=%q: trace dropped %d events", mc.mode, mc.platform, script, res.Report.Dropped)
+			}
+			agree, checkerSays, oracleSays := CheckerAgrees(res.History)
 			if !agree {
-				min := MinimizeDivergence(res.Infos)
+				min := MinimizeDivergence(res.History)
 				t.Fatalf("mode=%v platform=%v script=%q: checker=%v oracle=%v\nminimized:\n%s",
 					mc.mode, mc.platform, script, checkerSays, oracleSays, FormatHistory(min))
 			}

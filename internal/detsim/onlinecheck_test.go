@@ -6,14 +6,12 @@ import (
 	"testing"
 
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/histories"
 	"sicost/internal/onlinecheck"
-	"sicost/internal/trace"
 )
 
 // onlineConfigs are the mode/platform combinations the online checker
-// is cross-validated under.
+// is explored under.
 var onlineConfigs = []struct {
 	mode     core.CCMode
 	platform core.Platform
@@ -25,17 +23,16 @@ var onlineConfigs = []struct {
 }
 
 // TestOnlineMatchesOfflineOnPaperSchedules runs every history script of
-// the paper through the online windowed checker alongside the post-hoc
-// MVSG analysis, under every mode/platform, and requires verdict
-// equality — the cross-validation half of the acceptance criterion.
+// the paper under every mode/platform and requires three verdicts to be
+// equal: the runner's report, a post-hoc single-pass replay of the same
+// recorded stream (the exact mode), a replay that retires the window
+// after every event (the tightest window discipline), and the
+// brute-force oracle over the rebuilt history.
 func TestOnlineMatchesOfflineOnPaperSchedules(t *testing.T) {
 	nonSer := 0
 	for _, cfg := range onlineConfigs {
 		for _, s := range histories.PaperSchedules() {
-			r, err := Runner{
-				Mode: cfg.mode, Platform: cfg.platform,
-				Items: s.Items, OnlineCheck: true,
-			}.Run(s.Script)
+			r, err := Runner{Mode: cfg.mode, Platform: cfg.platform, Items: s.Items}.Run(s.Script)
 			if err != nil {
 				// Some scripts are not dispatchable under every mode: a
 				// step of a transaction 2PL left blocked cannot be
@@ -46,16 +43,22 @@ func TestOnlineMatchesOfflineOnPaperSchedules(t *testing.T) {
 				}
 				t.Fatalf("%s under %s/%s: %v", s.Name, cfg.mode, cfg.platform, err)
 			}
-			if r.Online == nil {
+			if r.Report == nil {
 				t.Fatalf("%s under %s/%s: no online report", s.Name, cfg.mode, cfg.platform)
 			}
-			if r.Online.Serializable != r.Report.Serializable {
-				t.Fatalf("%s under %s/%s: online=%v offline=%v\nonline: %soffline: %s",
+			siRules := cfg.mode != core.Strict2PL
+			exact := onlinecheck.Run(r.Events, onlinecheck.Config{SIRules: siRules, Batch: len(r.Events) + 1})
+			tight := onlinecheck.Run(r.Events, onlinecheck.Config{SIRules: siRules, Batch: 1})
+			oracle := SerializableBrute(r.History)
+			if r.Report.Serializable != exact.Serializable ||
+				tight.Serializable != exact.Serializable ||
+				exact.Serializable != oracle {
+				t.Fatalf("%s under %s/%s: runner=%v single-pass=%v per-event=%v oracle=%v\nrunner: %ssingle-pass: %sper-event: %s",
 					s.Name, cfg.mode, cfg.platform,
-					r.Online.Serializable, r.Report.Serializable,
-					r.Online.Describe(), r.Report.Describe())
+					r.Report.Serializable, exact.Serializable, tight.Serializable, oracle,
+					r.Report.Describe(), exact.Describe(), tight.Describe())
 			}
-			if !r.Online.Serializable {
+			if !oracle {
 				nonSer++
 			}
 		}
@@ -65,128 +68,22 @@ func TestOnlineMatchesOfflineOnPaperSchedules(t *testing.T) {
 	}
 }
 
-// TestOnlineGoldenWriteSkew pins the online checker's structured
-// violation report for the paper's write-skew schedule under plain SI:
-// the cycle participants, the rw-edge chain, and the classification.
-func TestOnlineGoldenWriteSkew(t *testing.T) {
-	s := histories.WriteSkew
-	r, err := Runner{Mode: core.SnapshotFUW, Items: s.Items, OnlineCheck: true}.Run(s.Script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Online.Serializable {
-		t.Fatalf("write skew not detected:\n%s", r.Online.Describe())
-	}
-	want := `online-checked 2 transactions, 2 edges, window peak 2 (0 retired): NOT serializable (1 cycle(s), 0 SI-rule violation(s))
-  cycle (write skew): t3 --rw[H."x"]--> t2 --rw[H."y"]--> t3 [window 2, csn 2..3, watermark 0]
-`
-	if got := r.Online.Describe(); got != want {
-		t.Fatalf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestOnlineGoldenReadOnlyAnomaly pins the report for the read-only
-// anomaly: a three-transaction cycle through a read-only participant.
-func TestOnlineGoldenReadOnlyAnomaly(t *testing.T) {
-	s := histories.ReadOnlyAnomaly
-	r, err := Runner{Mode: core.SnapshotFUW, Items: s.Items, OnlineCheck: true}.Run(s.Script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Online.Serializable {
-		t.Fatalf("read-only anomaly not detected:\n%s", r.Online.Describe())
-	}
-	got := r.Online.Describe()
-	if !strings.Contains(got, "read-only anomaly") {
-		t.Fatalf("cycle not classified as read-only anomaly:\n%s", got)
-	}
-	v := r.Online.Violations[0]
-	if len(v.Txs) != 4 || v.Txs[0] != v.Txs[3] {
-		t.Fatalf("want a closed 3-transaction cycle, got txs %v", v.Txs)
-	}
-	if len(v.Edges) != 3 {
-		t.Fatalf("want a 3-edge witness chain, got %v", v.Edges)
-	}
-}
-
-// TestOnlineExploreCrossValidation exhaustively explores small
-// transaction sets under every mode with the online checker attached to
-// every interleaving: Explore itself errors out on any verdict
-// divergence from the MVSG analysis.
-func TestOnlineExploreCrossValidation(t *testing.T) {
-	sets := [][]string{
-		// The write-skew pair.
-		{"r(x) r(y) w(x,-10)", "r(x) r(y) w(y,-10)"},
-		// Promotion via SFU (platform-sensitive).
-		{"u(x) r(y) w(x,-10)", "r(x) r(y) w(y,-10)"},
-	}
-	for _, cfg := range onlineConfigs {
-		for i, txns := range sets {
-			res, err := Explore(ExploreConfig{
-				Mode: cfg.mode, Platform: cfg.platform,
-				Txns: txns, OnlineCheck: true,
-			})
-			if err != nil {
-				t.Fatalf("set %d under %s/%s: %v", i, cfg.mode, cfg.platform, err)
-			}
-			if res.Schedules == 0 {
-				t.Fatalf("set %d under %s/%s explored nothing", i, cfg.mode, cfg.platform)
-			}
-		}
-	}
-	// Sanity: plain SI on the write-skew pair must actually reach a
-	// non-serializable outcome, or the equality above proves nothing.
-	res, err := Explore(ExploreConfig{Mode: core.SnapshotFUW, Txns: sets[0], OnlineCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Serializable() {
-		t.Fatal("SI exploration of the write-skew pair found no anomaly")
-	}
-}
-
-// eventsFromInfos synthesizes a trace stream from a committed history:
-// begin, the exact read set, the committed write set, commit — the same
-// information the engine emits, so random oracle histories can be
-// replayed through the online checker.
-func eventsFromInfos(infos []engine.TxInfo) []trace.Event {
-	var evs []trace.Event
-	ts := int64(0)
-	stamp := func(e trace.Event) trace.Event {
-		ts++
-		e.TS = ts
-		return e
-	}
-	for _, in := range infos {
-		evs = append(evs, stamp(trace.Event{Kind: trace.EvBegin, Tx: in.ID, CSN: in.StartCSN}))
-		for _, r := range in.Reads {
-			evs = append(evs, stamp(trace.Event{Kind: trace.EvReadVer, Tx: in.ID, Table: r.Table, Key: r.Key, CSN: r.CSN}))
-		}
-		for _, w := range in.Writes {
-			evs = append(evs, stamp(trace.Event{Kind: trace.EvWriteVer, Tx: in.ID, Table: w.Table, Key: w.Key, CSN: w.CSN}))
-		}
-		evs = append(evs, stamp(trace.Event{Kind: trace.EvCommit, Tx: in.ID, CSN: in.CommitCSN}))
-	}
-	return evs
-}
-
-// TestOnlineRandomCrossValidation is the online checker's version of
-// the oracle fuzz: random SI-shaped histories (including stale reads no
-// correct engine would produce) replayed as event streams must get the
-// same serializability verdict as the brute-force serial-order search.
-// Single-batch replay — exactness is the unchunked contract; the
-// windowed mode is exercised by the live tests.
+// TestOnlineRandomCrossValidation replays random SI-shaped histories
+// over a small, hot item set (dense conflicts, long cycles) through the
+// online checker in a single pass and requires the brute-force
+// serial-order search's verdict on every one. It complements
+// TestCheckerCrossValidation, which fuzzes the default generator shape.
 func TestOnlineRandomCrossValidation(t *testing.T) {
 	n := 5000
 	if testing.Short() {
 		n = 1000
 	}
 	rng := rand.New(rand.NewSource(20080576))
-	gen := HistoryGen{}
+	gen := HistoryGen{Items: 2, MaxOps: 4}
 	nonSer := 0
 	for i := 0; i < n; i++ {
 		h := gen.Generate(rng)
-		evs := eventsFromInfos(h)
+		evs := eventsOf(h)
 		rep := onlinecheck.Run(evs, onlinecheck.Config{SIRules: true, Batch: len(evs) + 1})
 		oracle := SerializableBrute(h)
 		if rep.Serializable != oracle {
@@ -203,19 +100,99 @@ func TestOnlineRandomCrossValidation(t *testing.T) {
 	t.Logf("cross-validated %d random histories (%d non-serializable), zero divergence", n, nonSer)
 }
 
+// TestOnlineGoldenWriteSkew pins the online checker's structured
+// violation report for the paper's write-skew schedule under plain SI:
+// the cycle participants, the rw-edge chain, and the classification.
+func TestOnlineGoldenWriteSkew(t *testing.T) {
+	s := histories.WriteSkew
+	r, err := Runner{Mode: core.SnapshotFUW, Items: s.Items}.Run(s.Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Report.Serializable {
+		t.Fatalf("write skew not detected:\n%s", r.Report.Describe())
+	}
+	want := `online-checked 2 transactions, 2 edges, window peak 2 (0 retired): NOT serializable (1 cycle(s), 0 SI-rule violation(s))
+  cycle (write skew): t3(t2) --rw[H."x"]--> t2(t1) --rw[H."y"]--> t3(t2) [window 2, csn 2..3, watermark 0]
+`
+	if got := r.Report.Describe(); got != want {
+		t.Fatalf("golden mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// TestOnlineGoldenReadOnlyAnomaly pins the report for the read-only
+// anomaly: a three-transaction cycle through a read-only participant.
+func TestOnlineGoldenReadOnlyAnomaly(t *testing.T) {
+	s := histories.ReadOnlyAnomaly
+	r, err := Runner{Mode: core.SnapshotFUW, Items: s.Items}.Run(s.Script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Report.Serializable {
+		t.Fatalf("read-only anomaly not detected:\n%s", r.Report.Describe())
+	}
+	got := r.Report.Describe()
+	if !strings.Contains(got, "read-only anomaly") {
+		t.Fatalf("cycle not classified as read-only anomaly:\n%s", got)
+	}
+	v := r.Report.Violations[0]
+	if len(v.Txs) != 4 || v.Txs[0] != v.Txs[3] {
+		t.Fatalf("want a closed 3-transaction cycle, got txs %v", v.Txs)
+	}
+	if len(v.Edges) != 3 {
+		t.Fatalf("want a 3-edge witness chain, got %v", v.Edges)
+	}
+}
+
+// TestOnlineExploreCrossValidation exhaustively explores small
+// transaction sets under every mode: Explore itself errors out on any
+// interleaving where the online checker's verdict diverges from the
+// brute-force oracle's.
+func TestOnlineExploreCrossValidation(t *testing.T) {
+	sets := [][]string{
+		// The write-skew pair.
+		{"r(x) r(y) w(x,-10)", "r(x) r(y) w(y,-10)"},
+		// Promotion via SFU (platform-sensitive).
+		{"u(x) r(y) w(x,-10)", "r(x) r(y) w(y,-10)"},
+	}
+	for _, cfg := range onlineConfigs {
+		for i, txns := range sets {
+			res, err := Explore(ExploreConfig{
+				Mode: cfg.mode, Platform: cfg.platform,
+				Txns: txns,
+			})
+			if err != nil {
+				t.Fatalf("set %d under %s/%s: %v", i, cfg.mode, cfg.platform, err)
+			}
+			if res.Schedules == 0 {
+				t.Fatalf("set %d under %s/%s explored nothing", i, cfg.mode, cfg.platform)
+			}
+		}
+	}
+	// Sanity: plain SI on the write-skew pair must actually reach a
+	// non-serializable outcome, or the agreement above proves nothing.
+	res, err := Explore(ExploreConfig{Mode: core.SnapshotFUW, Txns: sets[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Serializable() {
+		t.Fatal("SI exploration of the write-skew pair found no anomaly")
+	}
+}
+
 // TestOnlineRunnerStrict2PLDisablesSIRules: under 2PL the runner must
 // run the online checker without SI rules — 2PL reads newest-committed,
 // which would otherwise spray future-read false positives.
 func TestOnlineRunnerStrict2PLDisablesSIRules(t *testing.T) {
 	s := histories.WriteSkew
-	r, err := Runner{Mode: core.Strict2PL, Items: s.Items, OnlineCheck: true}.Run(s.Script)
+	r, err := Runner{Mode: core.Strict2PL, Items: s.Items}.Run(s.Script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Online.Serializable {
-		t.Fatalf("2PL execution flagged non-serializable:\n%s", r.Online.Describe())
+	if !r.Report.Serializable {
+		t.Fatalf("2PL execution flagged non-serializable:\n%s", r.Report.Describe())
 	}
-	if r.Online.SIViolations != 0 {
-		t.Fatalf("2PL execution flagged SI violations:\n%s", r.Online.Describe())
+	if r.Report.SIViolations != 0 {
+		t.Fatalf("2PL execution flagged SI violations:\n%s", r.Report.Describe())
 	}
 }

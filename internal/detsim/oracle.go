@@ -1,16 +1,21 @@
 // The checker cross-validation oracle: an independent, brute-force
-// decision procedure for the same question internal/checker answers —
-// is the recorded committed history serializable under the MVSG with
-// the engine's commit-order (CSN) version order?
+// decision procedure for the same question the online checker
+// (internal/onlinecheck) answers — is the committed history
+// serializable under the MVSG with the engine's commit-order (CSN)
+// version order?
 //
-// Independence is the point. The checker builds explicit edge lists
-// with sorted version arrays, binary searches and the graph package's
-// cycle detector; the oracle derives its ordering constraints pairwise,
+// Independence is the point. The checker integrates transactions
+// incrementally into per-item version and reader indexes, derives
+// edges by binary search and closes cycles with a DFS from each
+// commit; the oracle derives its ordering constraints pairwise,
 // straight from the MVSG definition, with naive quadratic loops, and
 // decides serializability by exhaustively searching for a serial order
-// (backtracking over every admissible next transaction). Any divergence
-// between the two is an implementation bug in one of them, which the
-// fuzzer (crossval_test.go) reports as a minimized counterexample — the
+// (backtracking over every admissible next transaction). Both read the
+// same committed history: historyOf rebuilds it from a trace stream,
+// and eventsOf is the one converter back to the event stream the
+// checker consumes. Any divergence between the two is an
+// implementation bug in one of them, which the fuzzer
+// (crossval_test.go) reports as a minimized counterexample — the
 // black-box-checking methodology of Huang et al. applied to our own
 // runtime detector.
 package detsim
@@ -21,21 +26,96 @@ import (
 	"sort"
 	"strings"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/histories"
+	"sicost/internal/onlinecheck"
+	"sicost/internal/trace"
 )
+
+// Version is one version a committed transaction read or created.
+type Version struct {
+	Table string
+	Key   core.Value
+	// CSN is the commit sequence number of the version read, or of the
+	// version created (the transaction's commit CSN).
+	CSN uint64
+}
+
+// Txn is one committed transaction of a history: its snapshot and
+// commit CSNs (a read-only transaction commits at its snapshot), its
+// application tag, the versions it read (excluding its own writes) and
+// the versions it created.
+type Txn struct {
+	ID, StartCSN, CommitCSN uint64
+	Tag                     string
+	Reads, Writes           []Version
+}
+
+// historyOf rebuilds the committed history from a trace stream: one Txn
+// per EvCommit, in commit-event order, with the snapshot from EvBegin,
+// the tag from EvCommit and the versions from EvReadVer/EvWriteVer.
+// Transactions that abort or never terminate have no EvCommit, so they
+// contribute nothing.
+func historyOf(evs []trace.Event) []Txn {
+	open := make(map[uint64]*Txn)
+	var h []Txn
+	for _, ev := range evs {
+		switch ev.Kind {
+		case trace.EvBegin:
+			open[ev.Tx] = &Txn{ID: ev.Tx, StartCSN: ev.CSN}
+		case trace.EvReadVer, trace.EvWriteVer:
+			t := open[ev.Tx]
+			if t == nil {
+				continue
+			}
+			v := Version{Table: ev.Table, Key: ev.Key, CSN: ev.CSN}
+			if ev.Kind == trace.EvReadVer {
+				t.Reads = append(t.Reads, v)
+			} else {
+				t.Writes = append(t.Writes, v)
+			}
+		case trace.EvCommit:
+			if t := open[ev.Tx]; t != nil {
+				t.CommitCSN, t.Tag = ev.CSN, ev.Table
+				h = append(h, *t)
+			}
+			delete(open, ev.Tx)
+		}
+	}
+	return h
+}
+
+// eventsOf synthesizes the trace stream of a committed history: per
+// transaction, begin, the exact read set, the committed write set and
+// the tagged commit — the information the engine emits — so oracle
+// histories can be replayed through the online checker.
+func eventsOf(h []Txn) []trace.Event {
+	var evs []trace.Event
+	emit := func(e trace.Event) {
+		e.TS = int64(len(evs) + 1)
+		evs = append(evs, e)
+	}
+	for _, t := range h {
+		emit(trace.Event{Kind: trace.EvBegin, Tx: t.ID, CSN: t.StartCSN})
+		for _, r := range t.Reads {
+			emit(trace.Event{Kind: trace.EvReadVer, Tx: t.ID, Table: r.Table, Key: r.Key, CSN: r.CSN})
+		}
+		for _, w := range t.Writes {
+			emit(trace.Event{Kind: trace.EvWriteVer, Tx: t.ID, Table: w.Table, Key: w.Key, CSN: w.CSN})
+		}
+		emit(trace.Event{Kind: trace.EvCommit, Tx: t.ID, Table: t.Tag, CSN: t.CommitCSN})
+	}
+	return evs
+}
 
 // SerializableBrute reports whether the committed history is
 // serializable: whether a total order of the transactions exists that
 // respects every WR, WW and RW constraint of the multi-version
-// serialization graph, with versions ordered by CSN. SFU records are
-// ignored, mirroring the checker (they create no versions).
+// serialization graph, with versions ordered by CSN.
 //
 // The search is exponential in the worst case; callers keep histories
 // small (the fuzzer uses <= 8 transactions).
-func SerializableBrute(infos []engine.TxInfo) bool {
+func SerializableBrute(infos []Txn) bool {
 	n := len(infos)
 	if n <= 1 {
 		return true
@@ -147,7 +227,7 @@ func (g HistoryGen) defaults() HistoryGen {
 }
 
 // Generate produces one random committed history.
-func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
+func (g HistoryGen) Generate(rng *rand.Rand) []Txn {
 	g = g.defaults()
 	nTxns := 1 + rng.Intn(g.MaxTxns)
 	// committed[i] = CSNs of committed versions of item i, ascending;
@@ -157,12 +237,12 @@ func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
 		committed[i] = []uint64{0}
 	}
 	commitSeq := uint64(0)
-	infos := make([]engine.TxInfo, 0, nTxns)
+	infos := make([]Txn, 0, nTxns)
 	for t := 0; t < nTxns; t++ {
 		// Start snapshot: any commit point so far — concurrent
 		// transactions arise when a later one starts below commitSeq.
 		start := uint64(rng.Intn(int(commitSeq) + 1))
-		info := engine.TxInfo{ID: uint64(t + 1), StartCSN: start}
+		info := Txn{ID: uint64(t + 1), StartCSN: start}
 		nOps := 1 + rng.Intn(g.MaxOps)
 		wrote := make(map[int]bool)
 		var writes []int
@@ -188,21 +268,20 @@ func (g HistoryGen) Generate(rng *rand.Rand) []engine.TxInfo {
 				k := sort.Search(len(vs), func(i int) bool { return vs[i] > start }) - 1
 				csn = vs[k]
 			}
-			info.Reads = append(info.Reads, engine.VersionRef{
+			info.Reads = append(info.Reads, Version{
 				Table: histories.Table, Key: itemKeyVal(it), CSN: csn,
 			})
 		}
 		if len(writes) > 0 {
 			commitSeq++
 			for _, it := range writes {
-				info.Writes = append(info.Writes, engine.VersionRef{
+				info.Writes = append(info.Writes, Version{
 					Table: histories.Table, Key: itemKeyVal(it), CSN: commitSeq,
 				})
 				committed[it] = append(committed[it], commitSeq)
 			}
 			info.CommitCSN = commitSeq
 		} else {
-			info.ReadOnly = true
 			info.CommitCSN = start
 		}
 		info.Tag = fmt.Sprintf("g%d", t+1)
@@ -215,14 +294,12 @@ func itemKeyVal(i int) core.Value {
 	return core.Str(string(rune('a' + i)))
 }
 
-// CheckerAgrees runs both deciders on the history and reports whether
-// they agree, along with each verdict.
-func CheckerAgrees(infos []engine.TxInfo) (agree, checkerSays, oracleSays bool) {
-	c := checker.New()
-	for _, in := range infos {
-		c.OnCommit(in)
-	}
-	checkerSays = c.Analyze().Serializable
+// CheckerAgrees runs both deciders on the history — the online checker
+// over its event stream in one pass (no retirement: the exact mode) —
+// and reports whether they agree, along with each verdict.
+func CheckerAgrees(infos []Txn) (agree, checkerSays, oracleSays bool) {
+	evs := eventsOf(infos)
+	checkerSays = onlinecheck.Run(evs, onlinecheck.Config{SIRules: true, Batch: len(evs) + 1}).Serializable
 	oracleSays = SerializableBrute(infos)
 	return checkerSays == oracleSays, checkerSays, oracleSays
 }
@@ -231,20 +308,20 @@ func CheckerAgrees(infos []engine.TxInfo) (agree, checkerSays, oracleSays bool) 
 // disagree: it greedily drops whole transactions, then individual reads
 // and writes, as long as the divergence persists. The returned history
 // still diverges.
-func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
-	diverges := func(h []engine.TxInfo) bool {
+func MinimizeDivergence(infos []Txn) []Txn {
+	diverges := func(h []Txn) bool {
 		agree, _, _ := CheckerAgrees(h)
 		return !agree
 	}
 	if !diverges(infos) {
 		return infos
 	}
-	cur := append([]engine.TxInfo(nil), infos...)
+	cur := append([]Txn(nil), infos...)
 	for changed := true; changed; {
 		changed = false
 		// Drop transactions.
 		for i := 0; i < len(cur); i++ {
-			trial := append(append([]engine.TxInfo(nil), cur[:i]...), cur[i+1:]...)
+			trial := append(append([]Txn(nil), cur[:i]...), cur[i+1:]...)
 			if diverges(trial) {
 				cur = trial
 				changed = true
@@ -255,7 +332,7 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 		for i := range cur {
 			for j := 0; j < len(cur[i].Reads); j++ {
 				trial := cloneInfos(cur)
-				trial[i].Reads = append(append([]engine.VersionRef(nil), trial[i].Reads[:j]...), trial[i].Reads[j+1:]...)
+				trial[i].Reads = append(append([]Version(nil), trial[i].Reads[:j]...), trial[i].Reads[j+1:]...)
 				if diverges(trial) {
 					cur = trial
 					changed = true
@@ -264,7 +341,7 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 			}
 			for j := 0; j < len(cur[i].Writes); j++ {
 				trial := cloneInfos(cur)
-				trial[i].Writes = append(append([]engine.VersionRef(nil), trial[i].Writes[:j]...), trial[i].Writes[j+1:]...)
+				trial[i].Writes = append(append([]Version(nil), trial[i].Writes[:j]...), trial[i].Writes[j+1:]...)
 				if diverges(trial) {
 					cur = trial
 					changed = true
@@ -276,20 +353,19 @@ func MinimizeDivergence(infos []engine.TxInfo) []engine.TxInfo {
 	return cur
 }
 
-func cloneInfos(infos []engine.TxInfo) []engine.TxInfo {
-	out := make([]engine.TxInfo, len(infos))
+func cloneInfos(infos []Txn) []Txn {
+	out := make([]Txn, len(infos))
 	for i, in := range infos {
 		out[i] = in
-		out[i].Reads = append([]engine.VersionRef(nil), in.Reads...)
-		out[i].Writes = append([]engine.VersionRef(nil), in.Writes...)
-		out[i].SFU = append([]engine.VersionRef(nil), in.SFU...)
+		out[i].Reads = append([]Version(nil), in.Reads...)
+		out[i].Writes = append([]Version(nil), in.Writes...)
 	}
 	return out
 }
 
 // FormatHistory renders a history for failure reports: one line per
 // transaction with its snapshot, reads and writes.
-func FormatHistory(infos []engine.TxInfo) string {
+func FormatHistory(infos []Txn) string {
 	var b strings.Builder
 	for _, in := range infos {
 		fmt.Fprintf(&b, "T%d[start=%d,commit=%d]", in.ID, in.StartCSN, in.CommitCSN)

@@ -126,40 +126,6 @@ type Config struct {
 	Tracer *trace.Recorder
 }
 
-// VersionRef identifies a version a transaction read or wrote, for the
-// serializability checker.
-type VersionRef struct {
-	Table string
-	Key   core.Value
-	// CSN is the commit sequence number of the version read (for reads)
-	// or created (for writes; filled at commit).
-	CSN uint64
-}
-
-// TxInfo is the post-commit summary handed to the Observer.
-type TxInfo struct {
-	ID        uint64
-	StartCSN  uint64
-	CommitCSN uint64
-	ReadOnly  bool
-	// Tag is application-provided (the SmallBank driver stores the
-	// transaction type) for anomaly reports.
-	Tag string
-	// Reads lists versions read (excluding reads of the txn's own
-	// writes). Writes lists versions created.
-	Reads  []VersionRef
-	Writes []VersionRef
-	// SFU lists rows select-for-updated (commercial platform semantics
-	// make these behave like writes for concurrency control).
-	SFU []VersionRef
-}
-
-// Observer receives every commit, in commit order for updating
-// transactions. The serializability checker implements it.
-type Observer interface {
-	OnCommit(TxInfo)
-}
-
 // WaitObserver is the engine's step-yield hook: it is told whenever a
 // transaction blocks on a row lock (the FUW and 2PL wait paths) and
 // whenever a blocked transaction is resolved — woken with the lock
@@ -268,9 +234,6 @@ type DB struct {
 	// per-transaction budget on a running database — e.g. load without
 	// deadlines, then measure with them.
 	defaultDeadline atomic.Int64
-
-	obsMu    sync.Mutex
-	observer Observer
 
 	ssi *ssiState
 
@@ -790,13 +753,6 @@ func (db *DB) SetResources(cfg simres.Config) { db.machine = simres.New(cfg) }
 // WAL exposes the simulated log device for stats and fault injection.
 func (db *DB) WAL() *wal.WAL { return db.log }
 
-// SetObserver installs the commit observer (nil disables).
-func (db *DB) SetObserver(o Observer) {
-	db.obsMu.Lock()
-	db.observer = o
-	db.obsMu.Unlock()
-}
-
 // SetWaitObserver installs the lock wait/wake observer (nil disables).
 // Must not be called while transactions are in flight.
 func (db *DB) SetWaitObserver(o WaitObserver) {
@@ -1034,14 +990,4 @@ func (db *DB) ScanAsOf(table string, cut uint64, fn func(key core.Value, rec cor
 		}
 	}
 	return nil
-}
-
-// notifyCommit delivers the commit record to the observer if installed.
-func (db *DB) notifyCommit(info TxInfo) {
-	db.obsMu.Lock()
-	o := db.observer
-	db.obsMu.Unlock()
-	if o != nil {
-		o.OnCommit(info)
-	}
 }

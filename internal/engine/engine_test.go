@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sicost/internal/core"
+	"sicost/internal/trace"
 )
 
 // kvSchema is a minimal two-column table used throughout the tests.
@@ -663,11 +664,12 @@ func TestScanLatest(t *testing.T) {
 	}
 }
 
-func TestObserverReceivesCommitInfo(t *testing.T) {
-	db := openKV(t, core.SnapshotFUW, core.PlatformPostgres)
-	var infos []TxInfo
-	db.SetObserver(observerFunc(func(info TxInfo) { infos = append(infos, info) }))
-
+// TestCommitTraceCarriesTagAndVersions: one transaction's commit-time
+// trace is everything a checker needs about it — the application tag
+// on EvCommit, exactly one read-ver for the key it read, and one
+// write-ver stamped with the commit CSN for the key it wrote.
+func TestCommitTraceCarriesTagAndVersions(t *testing.T) {
+	db, rec := traceDB(t, core.SnapshotFUW, 4)
 	tx := db.Begin()
 	tx.SetTag("demo")
 	_ = mustGetV(t, tx, 1)
@@ -676,25 +678,27 @@ func TestObserverReceivesCommitInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(infos) != 1 {
-		t.Fatalf("observer calls = %d", len(infos))
+	var commits, reads, writes []trace.Event
+	for _, ev := range rec.Drain() {
+		switch ev.Kind {
+		case trace.EvCommit:
+			commits = append(commits, ev)
+		case trace.EvReadVer:
+			reads = append(reads, ev)
+		case trace.EvWriteVer:
+			writes = append(writes, ev)
+		}
 	}
-	info := infos[0]
-	if info.Tag != "demo" || info.ReadOnly {
-		t.Fatalf("info = %+v", info)
+	if len(commits) != 1 || commits[0].Table != "demo" {
+		t.Fatalf("commit events = %+v, want one tagged \"demo\"", commits)
 	}
-	if len(info.Reads) != 1 || info.Reads[0].Key != core.Int(1) {
-		t.Fatalf("reads = %+v", info.Reads)
+	if commits[0].CSN <= tx.StartCSN() {
+		t.Fatalf("CSNs: start %d commit %d", tx.StartCSN(), commits[0].CSN)
 	}
-	if len(info.Writes) != 1 || info.Writes[0].Key != core.Int(2) || info.Writes[0].CSN != info.CommitCSN {
-		t.Fatalf("writes = %+v", info.Writes)
+	if len(reads) != 1 || reads[0].Key != core.Int(1) {
+		t.Fatalf("read-ver events = %+v, want one for key 1", reads)
 	}
-	if info.CommitCSN <= info.StartCSN {
-		t.Fatalf("CSNs: start %d commit %d", info.StartCSN, info.CommitCSN)
+	if len(writes) != 1 || writes[0].Key != core.Int(2) || writes[0].CSN != commits[0].CSN {
+		t.Fatalf("write-ver events = %+v, want one for key 2 at commit CSN %d", writes, commits[0].CSN)
 	}
 }
-
-// observerFunc adapts a function to the Observer interface.
-type observerFunc func(TxInfo)
-
-func (f observerFunc) OnCommit(info TxInfo) { f(info) }

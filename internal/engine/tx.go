@@ -58,7 +58,6 @@ type Tx struct {
 
 	writes []writeRec
 	sfus   []sfuRec
-	reads  []VersionRef
 
 	// failedErr is set after a serialization failure or deadlock; like
 	// PostgreSQL's "current transaction is aborted" state, every later
@@ -107,8 +106,9 @@ func (tx *Tx) Platform() core.Platform { return tx.db.cfg.Platform }
 // StartCSN returns the snapshot's commit sequence number.
 func (tx *Tx) StartCSN() uint64 { return tx.start }
 
-// SetTag attaches an application label (e.g. the transaction type) that
-// is passed through to the commit observer.
+// SetTag attaches an application label (e.g. the transaction type). It
+// rides on the EvCommit trace event, so checker reports can name the
+// programs on a dependency cycle.
 func (tx *Tx) SetTag(tag string) { tx.tag = tag }
 
 // SetLockWaitTimeout overrides the database's lock-wait deadline for
@@ -280,19 +280,15 @@ func (tx *Tx) visibleVersion(row *storage.Row) *storage.Version {
 	return row.Visible(tx.start, tx.id)
 }
 
-// recordRead registers a read for the observer/SSI. Reads of the
-// transaction's own writes are not dependencies and are skipped. The
-// EvReadVer event mirrors the recorded entry exactly (version CSN
-// included), so a trace consumer can rebuild the dependency-relevant
-// read set without the Observer hook.
+// recordRead emits the EvReadVer witness of a dependency-relevant read:
+// the version actually read, CSN included, so a trace consumer (the
+// online checker) can rebuild the exact read set. Reads of the
+// transaction's own writes are not dependencies and are skipped.
 func (tx *Tx) recordRead(tbl *storage.Table, key core.Value, v *storage.Version) {
-	if v.Creator == tx.id && v.CSN() == 0 {
+	if !tx.db.tracer.Enabled() || (v.Creator == tx.id && v.CSN() == 0) {
 		return
 	}
-	tx.reads = append(tx.reads, VersionRef{Table: tbl.Name(), Key: key, CSN: v.CSN()})
-	if tx.db.tracer.Enabled() {
-		tx.db.tracer.Emit(trace.Event{Kind: trace.EvReadVer, Tx: tx.id, Table: tbl.Name(), Key: key, CSN: v.CSN()})
-	}
+	tx.db.tracer.Emit(trace.Event{Kind: trace.EvReadVer, Tx: tx.id, Table: tbl.Name(), Key: key, CSN: v.CSN()})
 }
 
 // Get returns the record stored under key in table, as visible to this
@@ -686,14 +682,8 @@ func (tx *Tx) Commit() error {
 		}
 	}
 
-	info := TxInfo{
-		ID:       tx.id,
-		StartCSN: tx.start,
-		ReadOnly: len(tx.writes) == 0,
-		Tag:      tx.tag,
-		Reads:    tx.reads,
-	}
-
+	// Read-only transactions logically commit at their snapshot.
+	commitCSN := tx.start
 	if updating {
 		// Commit-time CPU of an updating transaction (log-record and
 		// redo construction), charged before the device wait.
@@ -790,7 +780,6 @@ func (tx *Tx) Commit() error {
 		}
 		for _, w := range tx.writes {
 			w.ver.MarkCommitted(csn)
-			info.Writes = append(info.Writes, VersionRef{Table: w.table.Name(), Key: w.key, CSN: csn})
 		}
 		// The committed write set, one EvWriteVer per row, emitted after
 		// the CSN exists and before EvCommit (same shard, so per-tx FIFO
@@ -825,25 +814,21 @@ func (tx *Tx) Commit() error {
 		// survive a crash.
 		for _, s := range tx.sfus {
 			s.row.NoteSFUCommit(csn)
-			info.SFU = append(info.SFU, VersionRef{Table: s.table.Name(), Key: s.key, CSN: csn})
 		}
 		tx.db.publishCSN(csn)
 		tx.db.ckptMu.RUnlock()
 		// Delay-only: the commit is published; a stall here holds row
 		// locks across an already-visible commit.
 		tx.db.faults.FireDelayOnly(FaultCSNPublish, faultinject.Ctx{Tx: tx.id})
-		info.CommitCSN = csn
+		commitCSN = csn
 		tx.commitCSN = csn
 		if async {
 			tx.durable = done
 		}
-	} else {
-		// Read-only: logically commits at its snapshot.
-		info.CommitCSN = tx.start
 	}
 
 	if tx.ssi != nil {
-		tx.db.ssi.finish(tx, info.CommitCSN)
+		tx.db.ssi.finish(tx, commitCSN)
 	}
 	tx.db.locks.ReleaseAll(tx.id)
 	tx.done = true
@@ -853,10 +838,9 @@ func (tx *Tx) Commit() error {
 		tx.db.txnMetrics.CommitLatency.Record(time.Since(commitStart))
 	}
 	if tx.db.tracer.Enabled() {
-		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, CSN: info.CommitCSN})
+		tx.db.tracer.Emit(trace.Event{Kind: trace.EvCommit, Tx: tx.id, Table: tx.tag, CSN: commitCSN})
 	}
 	tx.db.endTx(tx)
-	tx.db.notifyCommit(info)
 	return nil
 }
 

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"strings"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/onlinecheck"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
+	"sicost/internal/trace"
 	"sicost/internal/workload"
 )
 
@@ -96,10 +97,21 @@ func runFig3(cfg Config) (*Result, error) {
 //	WC writes the check on its stale snapshot and commits.
 //
 // It returns whether any step hit a serialization conflict and the
-// checker's verdict over whatever committed.
-func scriptAnomaly(db *engine.DB, s *smallbank.Strategy) (conflicted bool, rep *checker.Report, err error) {
-	chk := checker.New()
-	db.SetObserver(chk)
+// online checker's verdict over the script's trace (a small recorder
+// installed for the script's duration); a trace that lost events is an
+// error, not a verdict.
+func scriptAnomaly(db *engine.DB, s *smallbank.Strategy) (conflicted bool, rep *onlinecheck.Report, err error) {
+	rec := trace.New(trace.Options{Shards: 1, ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	// Every return below is bare: the verdict is computed here, after
+	// the last commit or abort.
+	defer func() {
+		db.SetTracer(nil)
+		rep = onlinecheck.Run(rec.Drain(), onlinecheck.Config{SIRules: db.Mode() != core.Strict2PL})
+		if rep.Dropped = rec.Dropped(); rep.Dropped > 0 && err == nil {
+			err = fmt.Errorf("anomaly: script trace lost %d events", rep.Dropped)
+		}
+	}()
 	name := smallbank.CustomerName(0)
 
 	step := func(e error) (stop bool) {
@@ -128,10 +140,10 @@ func scriptAnomaly(db *engine.DB, s *smallbank.Strategy) (conflicted bool, rep *
 	if e := smallbank.RunTransactSaving(tsTx, s, smallbank.Params{N1: name, V: 1_000_00}); e != nil {
 		tsTx.Abort()
 		if step(e) {
-			return conflicted, chk.Analyze(), err
+			return
 		}
 	} else if step(tsTx.Commit()) {
-		return conflicted, chk.Analyze(), err
+		return
 	}
 
 	balTx := db.Begin()
@@ -139,23 +151,23 @@ func scriptAnomaly(db *engine.DB, s *smallbank.Strategy) (conflicted bool, rep *
 	if _, e := smallbank.RunBalance(balTx, s, smallbank.Params{N1: name}); e != nil {
 		balTx.Abort()
 		if step(e) {
-			return conflicted, chk.Analyze(), err
+			return
 		}
 	} else if step(balTx.Commit()) {
-		return conflicted, chk.Analyze(), err
+		return
 	}
 
 	if e := smallbank.RunWriteCheck(wcTx, s, smallbank.Params{N1: name, V: 10_000_00}); e != nil {
 		if step(e) {
-			return conflicted, chk.Analyze(), err
+			return
 		}
 	} else {
 		abortWC = false
 		if step(wcTx.Commit()) {
-			return conflicted, chk.Analyze(), err
+			return
 		}
 	}
-	return conflicted, chk.Analyze(), err
+	return
 }
 
 // runAnomaly validates the paper's premise: the deterministic §III-C
@@ -184,7 +196,7 @@ func runAnomaly(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	fmt.Fprintf(&b, "%-22s scripted interleaving: conflicted=%v verdict=%s\n",
-		"SI", conflicted, rep.Classify())
+		"SI", conflicted, rep.Anomaly())
 
 	// Deterministic script under every sound strategy and under SSI:
 	// must conflict, and whatever committed must be serializable.
@@ -212,11 +224,11 @@ func runAnomaly(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		status := "PREVENTED"
-		if !conflicted || !rep.Serializable {
+		if !conflicted || !rep.OK() {
 			status = "FAILED"
 		}
 		fmt.Fprintf(&b, "%-22s scripted interleaving: conflicted=%v verdict=%-13s %s\n",
-			v.label, conflicted, rep.Classify(), status)
+			v.label, conflicted, rep.Anomaly(), status)
 	}
 
 	// Stochastic confirmation on a pathological hotspot.
@@ -226,17 +238,19 @@ func runAnomaly(cfg Config) (*Result, error) {
 			return false, "", err
 		}
 		defer db.Close()
-		chk := checker.New()
-		db.SetObserver(chk)
-		if _, err := workload.Run(db, workload.Config{
+		res, err := workload.Run(db, workload.Config{
 			Strategy: strategy,
 			MPL:      10, Customers: 50, HotspotSize: 2, HotspotProb: 1,
 			Measure: cfg.Measure, Seed: seed,
-		}); err != nil {
+			Check: onlinecheck.New(onlinecheck.Config{SIRules: true}),
+		})
+		if err != nil {
 			return false, "", err
 		}
-		rep := chk.Analyze()
-		return rep.Serializable, rep.Classify(), nil
+		if res.Check.Dropped > 0 {
+			return false, "", fmt.Errorf("anomaly: online check lost %d trace events", res.Check.Dropped)
+		}
+		return res.Check.Serializable && res.Check.SIViolations == 0, res.Check.Anomaly(), nil
 	}
 	siAnomalies := 0
 	const runs = 4

@@ -1,7 +1,6 @@
 // Package graph is a small directed-graph library used by the SDG
-// analysis (internal/sdg) and the runtime serializability checker
-// (internal/checker): reachability, cycle detection, strongly connected
-// components, and witness-path extraction.
+// analysis (internal/sdg): reachability, cycle detection, strongly
+// connected components, and witness-path extraction.
 package graph
 
 import "sort"

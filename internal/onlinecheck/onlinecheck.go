@@ -1,9 +1,11 @@
 // Package onlinecheck is the windowed online isolation checker: it
 // consumes the transaction-lifecycle event stream (internal/trace) as
 // it is emitted and verifies, continuously, that the execution obeys
-// snapshot isolation's read/write rules and stays serializable — the
-// live counterpart of the post-hoc MVSG analysis in internal/checker
-// and the brute-force oracle in internal/detsim.
+// snapshot isolation's read/write rules and stays serializable. It is
+// the repository's one serializability verdict: live runs subscribe it
+// to the recorder's rings, scripted runs replay a drained stream
+// through Run, and internal/detsim cross-validates it against an
+// independent brute-force oracle.
 //
 // The algorithm is timestamp-driven, after the incremental checkers of
 // "Online Timestamp-based Transactional Isolation Checking" and
@@ -59,7 +61,6 @@ import (
 	"strings"
 	"sync"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/trace"
 )
@@ -75,6 +76,54 @@ const DefaultMaxViolations = 16
 // delivers tens of thousands of events in one pass (on a saturated
 // box the drain ticker can lag far behind the clients).
 const DefaultBatch = 512
+
+// DepKind labels a dependency edge of the multi-version serialization
+// graph (MVSG).
+type DepKind uint8
+
+// MVSG edge kinds.
+const (
+	WR DepKind = iota // T wrote the version U read
+	WW                // T's version precedes U's version of the same item
+	RW                // U read a version older than T's (antidependency)
+)
+
+// String names the kind.
+func (k DepKind) String() string {
+	switch k {
+	case WR:
+		return "wr"
+	case WW:
+		return "ww"
+	default:
+		return "rw"
+	}
+}
+
+// Dep is one MVSG edge with its provenance.
+type Dep struct {
+	From, To uint64
+	Kind     DepKind
+	Table    string
+	Key      core.Value
+}
+
+// classifyCycle names the anomaly shape of a witness cycle through n
+// distinct transactions with rw antidependency steps: "write skew" is
+// two transactions joined by two rw antidependencies; "read-only
+// anomaly" is a cycle through a transaction that performed no writes
+// (Fekete/O'Neil/O'Neil 2004); other shapes are "non-serializable
+// execution".
+func classifyCycle(n, rw int, readOnly bool) string {
+	switch {
+	case n == 2 && rw == 2:
+		return "write skew"
+	case readOnly && rw >= 2:
+		return "read-only anomaly"
+	default:
+		return "non-serializable execution"
+	}
+}
 
 // Config parameterizes a Checker.
 type Config struct {
@@ -140,13 +189,16 @@ type WindowBounds struct {
 // Violation is one detected isolation violation.
 type Violation struct {
 	Kind ViolationKind
-	// Anomaly is the checker.ClassifyCycle name for Cycle violations.
+	// Anomaly names the shape of a Cycle (classifyCycle).
 	Anomaly string
 	// Txs are the participating transaction ids; for cycles, the cycle
 	// order with the first id repeated last.
 	Txs []uint64
+	// Tags are the application tags (engine Tx.SetTag, carried on
+	// EvCommit) of the cycle's transactions, aligned with Txs.
+	Tags []string
 	// Edges is the dependency chain of a Cycle (one edge per step).
-	Edges []checker.Dep
+	Edges []Dep
 	// Table/Key name the item of an SI-rule violation.
 	Table string
 	Key   core.Value
@@ -164,10 +216,10 @@ func (v Violation) String() string {
 	if v.Kind == Cycle {
 		fmt.Fprintf(&b, " (%s):", v.Anomaly)
 		for i, d := range v.Edges {
-			fmt.Fprintf(&b, " t%d --%s[%s.%v]-->", v.Txs[i], d.Kind, d.Table, d.Key)
+			fmt.Fprintf(&b, " %s --%s[%s.%v]-->", v.node(i), d.Kind, d.Table, d.Key)
 		}
 		if n := len(v.Txs); n > 0 {
-			fmt.Fprintf(&b, " t%d", v.Txs[n-1])
+			fmt.Fprintf(&b, " %s", v.node(n-1))
 		}
 	} else {
 		fmt.Fprintf(&b, ": tx")
@@ -179,6 +231,15 @@ func (v Violation) String() string {
 	fmt.Fprintf(&b, " [window %d, csn %d..%d, watermark %d]",
 		v.Window.Size, v.Window.OldestCSN, v.Window.NewestCSN, v.Window.Watermark)
 	return b.String()
+}
+
+// node renders the i-th cycle participant as t<id>, or t<id>(<tag>)
+// when the transaction carried an application tag.
+func (v Violation) node(i int) string {
+	if i < len(v.Tags) && v.Tags[i] != "" {
+		return fmt.Sprintf("t%d(%s)", v.Txs[i], v.Tags[i])
+	}
+	return fmt.Sprintf("t%d", v.Txs[i])
 }
 
 // Stats are the checker's live counters — the expvar surface.
@@ -222,6 +283,32 @@ type Report struct {
 	Violations []Violation
 	// Stats is the final counter snapshot.
 	Stats Stats
+	// Dropped is the number of events the feeding recorder discarded on
+	// ring overflow (trace.Recorder.Dropped), set by the caller that
+	// owns the recorder. A lost read-ver event can hide a cycle, so a
+	// report with Dropped > 0 is no clean verdict: gates treat it as a
+	// failed check (see OK).
+	Dropped uint64
+}
+
+// OK reports whether the verdict is clean: serializable, no SI-rule
+// violation, and no event lost on the way to the checker.
+func (r *Report) OK() bool {
+	return r.Serializable && r.SIViolations == 0 && r.Dropped == 0
+}
+
+// Anomaly names the execution: "serializable", or the classification
+// of the first retained cycle ("write skew", "read-only anomaly", ...).
+func (r *Report) Anomaly() string {
+	if r.Serializable {
+		return "serializable"
+	}
+	for _, v := range r.Violations {
+		if v.Kind == Cycle {
+			return v.Anomaly
+		}
+	}
+	return "non-serializable execution"
 }
 
 // Describe renders the report for humans, deterministically.
@@ -237,6 +324,9 @@ func (r *Report) Describe() string {
 	default:
 		fmt.Fprintf(&b, "NOT serializable (%d cycle(s), %d SI-rule violation(s))\n",
 			r.Stats.Cycles, r.SIViolations)
+	}
+	if r.Dropped > 0 {
+		fmt.Fprintf(&b, "  INCOMPLETE: %d event(s) dropped on ring overflow; the verdict may miss cycles\n", r.Dropped)
 	}
 	for _, v := range r.Violations {
 		fmt.Fprintf(&b, "  %s\n", v)
@@ -295,7 +385,7 @@ type pendingTx struct {
 // edge is one out-edge of a window node.
 type edge struct {
 	to   uint64
-	kind checker.DepKind
+	kind DepKind
 	item itemKey
 }
 
@@ -305,6 +395,7 @@ type txNode struct {
 	start, commit uint64
 	begun         bool
 	writer        bool
+	tag           string // application tag from EvCommit
 	out           []edge // insertion-ordered: deterministic DFS
 	outSeen       map[uint64]uint8
 	reads         []ref
@@ -378,9 +469,11 @@ func Attach(rec *trace.Recorder, cfg Config, opts trace.SubOptions) (*Checker, *
 }
 
 // Run replays a recorded stream through a fresh checker and returns the
-// verdict — the offline entry point (cmd/tracecheck, the
-// cross-validation suite). The stream is chunked into cfg.Batch-sized
-// passes so the window discipline applies.
+// verdict — the replay entry point (cmd/tracecheck, the scripted runs
+// of internal/detsim and the anomaly experiment, the cross-validation
+// suite). The stream is chunked into cfg.Batch-sized passes so the
+// window discipline applies. Run cannot see drops: a caller that
+// drained a recorder sets Report.Dropped from it.
 func Run(events []trace.Event, cfg Config) *Report {
 	c := New(cfg)
 	if cfg.Batch <= 0 {
@@ -531,7 +624,7 @@ func (c *Checker) ingestOne(ev *trace.Event) {
 		}
 		delete(c.pending, ev.Tx)
 		c.noteCSN(ev.CSN)
-		c.commit(p, ev.CSN)
+		c.commit(p, ev.CSN, ev.Table)
 	default:
 		// Statement-start, lock, conflict and device events carry no
 		// dependency information the version events do not already
@@ -576,7 +669,7 @@ func (c *Checker) noteCSN(csn uint64) {
 // commit integrates a terminating transaction into the window, derives
 // its dependency edges, applies the SI rules, and checks for a cycle
 // through it.
-func (c *Checker) commit(p *pendingTx, commitCSN uint64) {
+func (c *Checker) commit(p *pendingTx, commitCSN uint64, tag string) {
 	c.stats.Commits++
 	if !p.begun {
 		c.stats.GapTxs++
@@ -587,6 +680,7 @@ func (c *Checker) commit(p *pendingTx, commitCSN uint64) {
 		commit:  commitCSN,
 		begun:   p.begun,
 		writer:  len(p.writes) > 0,
+		tag:     tag,
 		outSeen: make(map[uint64]uint8),
 		reads:   p.reads,
 		writes:  dedupeWrites(p.writes),
@@ -642,10 +736,10 @@ func (c *Checker) commit(p *pendingTx, commitCSN uint64) {
 		copy(it.versions[idx+1:], it.versions[idx:])
 		it.versions[idx] = version{csn: w.csn, tx: n.id}
 		if idx > 0 {
-			c.addEdge(it.versions[idx-1].tx, n.id, checker.WW, w.item)
+			c.addEdge(it.versions[idx-1].tx, n.id, WW, w.item)
 		}
 		if idx+1 < len(it.versions) {
-			c.addEdge(n.id, it.versions[idx+1].tx, checker.WW, w.item)
+			c.addEdge(n.id, it.versions[idx+1].tx, WW, w.item)
 		}
 		// RW goes to exactly the readers whose first next version this
 		// one becomes: reads in [predecessor, w.csn). Readers of even
@@ -656,10 +750,10 @@ func (c *Checker) commit(p *pendingTx, commitCSN uint64) {
 		rs := it.readers
 		i := sort.Search(len(rs), func(i int) bool { return rs[i].csn >= lo })
 		for ; i < len(rs) && rs[i].csn < w.csn; i++ {
-			c.addEdge(rs[i].tx, n.id, checker.RW, w.item)
+			c.addEdge(rs[i].tx, n.id, RW, w.item)
 		}
 		for ; i < len(rs) && rs[i].csn == w.csn; i++ {
-			c.addEdge(n.id, rs[i].tx, checker.WR, w.item)
+			c.addEdge(n.id, rs[i].tx, WR, w.item)
 		}
 	}
 
@@ -683,14 +777,13 @@ func (c *Checker) commit(p *pendingTx, commitCSN uint64) {
 		vs := it.versions
 		idx := sort.Search(len(vs), func(i int) bool { return vs[i].csn >= r.csn })
 		if idx < len(vs) && vs[idx].csn == r.csn {
-			c.addEdge(vs[idx].tx, n.id, checker.WR, r.item)
+			c.addEdge(vs[idx].tx, n.id, WR, r.item)
 			idx++
 		}
 		// Reads of versions created outside the traced window (the
-		// loader, or retired history) have no source node; skipped,
-		// exactly as the offline analyzer skips them.
+		// loader, or retired history) have no source node: no WR edge.
 		if idx < len(vs) {
-			c.addEdge(n.id, vs[idx].tx, checker.RW, r.item)
+			c.addEdge(n.id, vs[idx].tx, RW, r.item)
 		}
 		// Keep readers sorted by read CSN so writers can range-scan the
 		// predecessor interval above.
@@ -749,11 +842,11 @@ func (c *Checker) itemFor(k itemKey) *itemState {
 }
 
 // edge-kind bits for outSeen dedup.
-func kindBit(k checker.DepKind) uint8 { return 1 << uint8(k) }
+func kindBit(k DepKind) uint8 { return 1 << uint8(k) }
 
 // addEdge records from→to if both ends are live and the (to, kind)
 // pair is new for from. Self-edges are not dependencies.
-func (c *Checker) addEdge(from, to uint64, kind checker.DepKind, item itemKey) {
+func (c *Checker) addEdge(from, to uint64, kind DepKind, item itemKey) {
 	if from == to {
 		return
 	}
@@ -809,30 +902,23 @@ func (c *Checker) checkCycle(n *txNode) {
 }
 
 // reportCycle converts a closing path (n → ... → n) into a Violation.
+// Every node on a DFS path is in the window.
 func (c *Checker) reportCycle(n *txNode, path []edge) {
 	c.cycles++
-	txs := make([]uint64, 0, len(path)+1)
-	deps := make([]checker.Dep, 0, len(path))
-	from := n.id
-	writers := make(map[uint64]bool)
-	writers[n.id] = n.writer
+	v := Violation{Kind: Cycle, Txs: []uint64{n.id}, Tags: []string{n.tag}}
+	from, rw, readOnly := n, 0, false
 	for _, e := range path {
-		deps = append(deps, checker.Dep{
-			From: from, To: e.to, Kind: e.kind, Table: e.item.table, Key: e.item.key,
-		})
-		txs = append(txs, from)
-		if nn := c.window[e.to]; nn != nil {
-			writers[e.to] = nn.writer
+		to := c.window[e.to]
+		v.Edges = append(v.Edges, Dep{From: from.id, To: to.id, Kind: e.kind, Table: e.item.table, Key: e.item.key})
+		v.Txs = append(v.Txs, to.id)
+		v.Tags = append(v.Tags, to.tag)
+		if e.kind == RW {
+			rw++
 		}
-		from = e.to
+		readOnly = readOnly || !to.writer
+		from = to
 	}
-	txs = append(txs, from)
-	v := Violation{
-		Kind:    Cycle,
-		Anomaly: checker.ClassifyCycle(txs, deps, writers),
-		Txs:     txs,
-		Edges:   deps,
-	}
+	v.Anomaly = classifyCycle(len(path), rw, readOnly)
 	c.retainViolation(v)
 }
 

@@ -87,8 +87,8 @@ func TestSerialChainRetires(t *testing.T) {
 	if rep.Stats.MaxWindow > 2 {
 		t.Fatalf("window peaked at %d; sequential traffic must stay <= 2", rep.Stats.MaxWindow)
 	}
-	// WR+WW per handoff (two handoffs); like the offline analyzer, the
-	// online checker stores only reader→first-next-writer
+	// WR+WW per handoff (two handoffs); the checker stores only
+	// reader→first-next-writer
 	// antidependencies (t2's first next writer after version 1 is t2
 	// itself — self-edges are skipped), so a hot item stays linear in
 	// the window rather than quadratic.

@@ -3,10 +3,24 @@ package smallbank
 import (
 	"testing"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/onlinecheck"
+	"sicost/internal/trace"
 )
+
+// traceCheck installs a small recorder on db and returns a func that
+// drains it and returns the online checker's verdict over the traffic
+// since (SI rules on for the snapshot modes).
+func traceCheck(db *engine.DB) func() *onlinecheck.Report {
+	rec := trace.New(trace.Options{Shards: 1, ShardCap: 1 << 12})
+	db.SetTracer(rec)
+	return func() *onlinecheck.Report {
+		rep := onlinecheck.Run(rec.Drain(), onlinecheck.Config{SIRules: db.Mode() != core.Strict2PL})
+		rep.Dropped = rec.Dropped()
+		return rep
+	}
+}
 
 // runAnomalyScript drives the §III-C interleaving against a database
 // running the given strategy:
@@ -21,10 +35,9 @@ import (
 // anomaly of Fekete/O'Neil/O'Neil. Every repair strategy must instead
 // force a serialization failure somewhere. The function returns the
 // checker report and whether any step failed with a retriable error.
-func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Report, conflicted bool) {
+func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *onlinecheck.Report, conflicted bool) {
 	t.Helper()
-	chk := checker.New()
-	db.SetObserver(chk)
+	check := traceCheck(db)
 	name := CustomerName(0)
 
 	fail := func(err error) bool {
@@ -50,11 +63,11 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 		tsTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
-			return chk.Analyze(), conflicted
+			return check(), conflicted
 		}
 	} else if err := tsTx.Commit(); fail(err) {
 		wcTx.Abort()
-		return chk.Analyze(), conflicted
+		return check(), conflicted
 	}
 
 	// Bal reads the total: sees the deposit (snapshot after TS).
@@ -64,11 +77,11 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 		balTx.Abort()
 		if fail(err) {
 			wcTx.Abort()
-			return chk.Analyze(), conflicted
+			return check(), conflicted
 		}
 	} else if err := balTx.Commit(); fail(err) {
 		wcTx.Abort()
-		return chk.Analyze(), conflicted
+		return check(), conflicted
 	}
 
 	// WC writes a check against the stale snapshot: savings 1000 +
@@ -77,13 +90,13 @@ func runAnomalyScript(t *testing.T, db *engine.DB, s *Strategy) (rep *checker.Re
 	if err := RunWriteCheck(wcTx, s, Params{N1: name, V: 1600}); err != nil {
 		wcTx.Abort()
 		if fail(err) {
-			return chk.Analyze(), conflicted
+			return check(), conflicted
 		}
 	} else if err := wcTx.Commit(); fail(err) {
-		return chk.Analyze(), conflicted
+		return check(), conflicted
 	}
 
-	return chk.Analyze(), conflicted
+	return check(), conflicted
 }
 
 // TestAnomalyUnderPlainSI: the full §III-C scenario commits under SI and
@@ -97,7 +110,7 @@ func TestAnomalyUnderPlainSI(t *testing.T) {
 	if rep.Serializable {
 		t.Fatalf("anomaly not detected:\n%s", rep.Describe())
 	}
-	if got := rep.Classify(); got != "read-only anomaly" {
+	if got := rep.Anomaly(); got != "read-only anomaly" {
 		t.Fatalf("Classify = %q\n%s", got, rep.Describe())
 	}
 	// The corrupted state: the penalty was charged even though the
@@ -127,7 +140,7 @@ func TestStrategiesPreventAnomaly(t *testing.T) {
 			if !conflicted {
 				t.Fatalf("%s did not force a conflict in the dangerous interleaving", s.Name)
 			}
-			if !rep.Serializable {
+			if !rep.OK() {
 				t.Fatalf("%s committed a non-serializable prefix:\n%s", s.Name, rep.Describe())
 			}
 		})
@@ -144,8 +157,6 @@ func TestUnsoundSfuOnPostgres(t *testing.T) {
 	// the interleaving is the other order. Use the §II-C order: WC
 	// sfu-reads FIRST, commits nothing yet; then TS writes Saving.
 	name := CustomerName(0)
-	chk := checker.New()
-	db.SetObserver(chk)
 
 	wcTx := db.Begin()
 	wcTx.SetTag("WC")
@@ -219,7 +230,7 @@ func TestSSIPreventsAnomalyWithoutModifications(t *testing.T) {
 	if !conflicted {
 		t.Fatal("SSI must abort part of the dangerous interleaving")
 	}
-	if !rep.Serializable {
+	if !rep.OK() {
 		t.Fatalf("SSI committed a non-serializable prefix:\n%s", rep.Describe())
 	}
 }

@@ -75,7 +75,9 @@ const (
 	EvAbort
 	// EvCommit: the transaction committed. CSN is the commit sequence
 	// number (for read-only transactions, the snapshot they logically
-	// committed at).
+	// committed at). Table carries the transaction's application tag
+	// (engine Tx.SetTag, e.g. the SmallBank program "WC"), empty when
+	// none was set, so checker reports can name cycle participants.
 	EvCommit
 	// EvWALCommit: an updating commit enqueued its commit record on the
 	// simulated log device. Bytes is the record payload.
@@ -97,7 +99,8 @@ const (
 	// created before tracing was enabled). Unlike EvRead (statement
 	// start), this is emitted after visibility resolution and skips reads
 	// of the transaction's own writes, so a transaction's read-ver events
-	// are exactly its dependency-relevant read set (engine.TxInfo.Reads).
+	// are exactly its dependency-relevant read set — the reads the online
+	// checker (internal/onlinecheck) derives WR and RW edges from.
 	// Appended after the device-level kinds to keep their wire values
 	// stable; within a transaction it occurs between begin and commit.
 	EvReadVer
@@ -106,7 +109,7 @@ const (
 	// CSN is allocated, one event per written row, before EvCommit —
 	// unlike EvWrite (statement start), which over-approximates the
 	// write set (a statement can fail without dooming the transaction).
-	// The write-ver events are exactly engine.TxInfo.Writes.
+	// The write-ver events are exactly the versions the commit created.
 	EvWriteVer
 	// EvCkptBegin: a fuzzy incremental checkpoint opened its delta link.
 	// Tx is zero; CSN is the begin cut (the chain link's CSN) and Depth
@@ -181,11 +184,12 @@ type Event struct {
 	Tx uint64
 	// Kind is the event type.
 	Kind Kind
-	// Table and Key name the row for data and lock events.
+	// Table and Key name the row for data and lock events; on EvCommit,
+	// Table carries the transaction's application tag.
 	Table string
 	Key   core.Value
-	// CSN is the snapshot CSN (EvBegin/EvSnapshot) or commit CSN
-	// (EvCommit).
+	// CSN is the snapshot CSN (EvBegin/EvSnapshot), commit CSN
+	// (EvCommit) or version CSN (EvReadVer/EvWriteVer).
 	CSN uint64
 	// Depth is the lock queue depth (EvLockWait) or the flush-group
 	// size (EvWALFlush).

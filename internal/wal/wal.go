@@ -21,6 +21,7 @@
 package wal
 
 import (
+	"errors"
 	"hash/crc32"
 	"sync"
 	"time"
@@ -185,6 +186,13 @@ type WAL struct {
 	// checkpoint rewrites, schema appends) so frames never interleave
 	// mid-write.
 	devMu sync.Mutex
+	// devDead, guarded by devMu, is set by a simulated crash before
+	// devMu is released; every later device operation fails with it. A
+	// dead process writes nothing more, so an append or sync racing a
+	// crash on another goroutine (a flush window against a fuzzy-
+	// checkpoint delta or a segment retirement) can neither land after
+	// the torn tail nor acknowledge frames the crash dropped.
+	devDead error
 
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the flush loop exits
@@ -473,9 +481,7 @@ func (w *WAL) flushWindow(window []*Record, injected error) {
 			// Mid-write crash: the page cache — earlier groups' unsynced
 			// appends — is lost; a torn prefix of this group's first
 			// frame made the platter mid-write.
-			w.dropUnsynced()
-			w.tornAppend(g.frames)
-			w.brick(err)
+			w.crash(g.frames, err)
 			crashErr, failFrom = err, gi
 			break
 		}
@@ -522,7 +528,7 @@ func (w *WAL) flushWindow(window []*Record, injected error) {
 		// Power dies inside the coalesced-sync window, before the sync
 		// reaches the device: the whole window's appends sit in the
 		// lost page cache.
-		w.dropUnsynced()
+		w.crash(nil, serr)
 		w.failWindow(appended, serr)
 		return
 	}
@@ -606,14 +612,30 @@ func (w *WAL) brick(err error) {
 	w.mu.Unlock()
 }
 
+// devOp runs one device operation under devMu, failing fast with the
+// crash cause once the device is dead. A crash injected inside the
+// device itself (segment rotation or retirement) kills it before devMu
+// is released, losing the page cache like any other crash.
+func (w *WAL) devOp(op func(LogDevice) error) error {
+	w.devMu.Lock()
+	defer w.devMu.Unlock()
+	if w.devDead != nil {
+		return w.devDead
+	}
+	err := op(w.cfg.Device)
+	var p *faultinject.Panic
+	if errors.As(err, &p) {
+		w.dieLocked(nil, err)
+	}
+	return err
+}
+
 // devAppend writes one flush group to the device.
 func (w *WAL) devAppend(frames []byte) error {
 	if w.cfg.Device == nil || len(frames) == 0 {
 		return nil
 	}
-	w.devMu.Lock()
-	defer w.devMu.Unlock()
-	return w.cfg.Device.Append(frames)
+	return w.devOp(func(d LogDevice) error { return d.Append(frames) })
 }
 
 // devSync issues the device sync covering every append since the last.
@@ -621,19 +643,35 @@ func (w *WAL) devSync() error {
 	if w.cfg.Device == nil {
 		return nil
 	}
-	w.devMu.Lock()
-	defer w.devMu.Unlock()
-	return w.cfg.Device.Sync()
+	return w.devOp(LogDevice.Sync)
 }
 
-// dropUnsynced simulates losing the page cache on a crash-capable
-// device; a no-op for devices without the synced/unsynced distinction.
-func (w *WAL) dropUnsynced() {
-	if vd, ok := w.cfg.Device.(VolatileDevice); ok {
-		w.devMu.Lock()
-		_, _ = vd.DropUnsynced()
-		w.devMu.Unlock()
+// crash simulates process death at a fault point and bricks the WAL.
+// Under one devMu critical section it loses the page cache (every
+// unsynced append, on a crash-capable device), persists the torn
+// fragment of torn (nil for none) and marks the device dead, so no
+// concurrent append or sync lands after it. A device that is already
+// dead receives nothing.
+func (w *WAL) crash(torn []byte, err error) {
+	w.devMu.Lock()
+	w.dieLocked(torn, err)
+	w.devMu.Unlock()
+	w.brick(err)
+}
+
+// dieLocked is crash's device half; the caller holds devMu.
+func (w *WAL) dieLocked(torn []byte, err error) {
+	if w.devDead != nil {
+		return
 	}
+	w.devDead = err
+	if w.cfg.Device == nil {
+		return
+	}
+	if vd, ok := w.cfg.Device.(VolatileDevice); ok {
+		_, _ = vd.DropUnsynced()
+	}
+	w.tornAppend(torn)
 }
 
 // tornAppend simulates the crash-interrupted device write: a strict
@@ -642,9 +680,9 @@ func (w *WAL) dropUnsynced() {
 // guarantees no unacknowledged commit becomes durable, while still
 // leaving a genuinely torn tail for recovery to truncate. The fragment
 // is synced: it models bytes the platter received mid-write, not page
-// cache.
+// cache. The caller holds devMu.
 func (w *WAL) tornAppend(frames []byte) {
-	if w.cfg.Device == nil || len(frames) == 0 {
+	if len(frames) == 0 {
 		return
 	}
 	_, first, err := DecodeFrameAt(frames, 0)
@@ -652,10 +690,8 @@ func (w *WAL) tornAppend(frames []byte) {
 		first = len(frames)
 	}
 	cut := int(crc32.Checksum(frames, castagnoli) % uint32(first))
-	w.devMu.Lock()
 	_ = w.cfg.Device.Append(frames[:cut])
 	_ = w.cfg.Device.Sync()
-	w.devMu.Unlock()
 }
 
 // DurableWatermark returns the highest CSN acknowledged durable and
@@ -734,9 +770,7 @@ func (w *WAL) WriteCheckpoint(c *Checkpoint) error {
 	w.mu.Unlock()
 
 	enc := EncodeCheckpoint(c)
-	w.devMu.Lock()
-	err := w.cfg.Device.Rewrite(enc)
-	w.devMu.Unlock()
+	err := w.devOp(func(d LogDevice) error { return d.Rewrite(enc) })
 
 	w.mu.Lock()
 	if err == nil {
@@ -771,12 +805,12 @@ func (w *WAL) AppendSchema(s *core.Schema) error {
 	w.mu.Unlock()
 
 	enc := EncodeSchema(s)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
-	if err == nil {
-		err = w.cfg.Device.Sync()
-	}
-	w.devMu.Unlock()
+	err := w.devOp(func(d LogDevice) error {
+		if err := d.Append(enc); err != nil {
+			return err
+		}
+		return d.Sync()
+	})
 
 	w.mu.Lock()
 	if err == nil {
@@ -816,9 +850,7 @@ func (w *WAL) BeginDelta(d *DeltaBegin) (int, error) {
 		return 0, err
 	}
 	enc := EncodeDeltaBegin(d)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
-	w.devMu.Unlock()
+	err := w.devOp(func(dev LogDevice) error { return dev.Append(enc) })
 	w.mu.Lock()
 	if err == nil {
 		w.stats.Bytes += int64(len(enc))
@@ -864,9 +896,7 @@ func (w *WAL) AppendDeltaRows(d *DeltaRows) (int, error) {
 	enc := EncodeDeltaRows(d)
 	ferr, crashed := w.fireCkptDelta()
 	if crashed {
-		w.dropUnsynced()
-		w.tornAppend(enc)
-		w.brick(ferr)
+		w.crash(enc, ferr)
 		return 0, ferr
 	}
 	if ferr == nil {
@@ -898,12 +928,12 @@ func (w *WAL) EndDelta(d *DeltaEnd) (int, error) {
 		return 0, err
 	}
 	enc := EncodeDeltaEnd(d)
-	w.devMu.Lock()
-	err := w.cfg.Device.Append(enc)
-	if err == nil {
-		err = w.cfg.Device.Sync()
-	}
-	w.devMu.Unlock()
+	err := w.devOp(func(dev LogDevice) error {
+		if err := dev.Append(enc); err != nil {
+			return err
+		}
+		return dev.Sync()
+	})
 	w.mu.Lock()
 	if err == nil {
 		w.stats.Bytes += int64(len(enc))
@@ -942,9 +972,11 @@ func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, e
 	if err := w.guardOpen(); err != nil {
 		return 0, 0, err
 	}
-	w.devMu.Lock()
-	retired, archived, err = r.RetireSegments(beforeIdx, archiveDir)
-	w.devMu.Unlock()
+	err = w.devOp(func(LogDevice) error {
+		var rerr error
+		retired, archived, rerr = r.RetireSegments(beforeIdx, archiveDir)
+		return rerr
+	})
 	w.mu.Lock()
 	w.stats.RetiredSegments += int64(retired)
 	w.stats.ArchivedSegments += int64(archived)

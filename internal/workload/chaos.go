@@ -3,9 +3,10 @@ package workload
 import (
 	"fmt"
 
-	"sicost/internal/checker"
+	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/faultinject"
+	"sicost/internal/onlinecheck"
 	"sicost/internal/smallbank"
 	"sicost/internal/storage"
 	"sicost/internal/wal"
@@ -16,13 +17,14 @@ type ChaosConfig struct {
 	// Specs are armed on the database's fault registry for the duration
 	// of the run and disarmed afterwards.
 	Specs []faultinject.Spec
-	// Check attaches the MVSG checker to the run and records its
-	// verdict in the report.
+	// Check attaches an online checker to the run (unless the workload
+	// Config already carries one); its verdict lands in Result.Check,
+	// and a verdict with dropped events is an invariant violation.
 	Check bool
 	// ExpectSerializable, with Check, makes a non-serializable verdict
-	// an invariant violation. Set it when the strategy/mode combination
-	// guarantees serializable executions — fault injection must never
-	// change that.
+	// or an SI-rule violation an invariant violation. Set it when the
+	// strategy/mode combination guarantees serializable executions —
+	// fault injection must never change that.
 	ExpectSerializable bool
 }
 
@@ -45,8 +47,6 @@ type ChaosReport struct {
 	// FaultStats snapshots per-point trigger counts (captured before
 	// the specs are disarmed).
 	FaultStats []faultinject.PointStats
-	// CheckerReport is the MVSG analysis when ChaosConfig.Check is set.
-	CheckerReport *checker.Report
 	// Violations lists every invariant the run broke; empty means the
 	// engine survived the fault plan cleanly.
 	Violations []string
@@ -97,11 +97,8 @@ func RunChaos(db *engine.DB, cfg Config, chaos ChaosConfig) (*ChaosReport, error
 		return nil, fmt.Errorf("workload: initial audit: %w", err)
 	}
 
-	var chk *checker.Checker
-	if chaos.Check {
-		chk = checker.New()
-		db.SetObserver(chk)
-		defer db.SetObserver(nil)
+	if chaos.Check && cfg.Check == nil {
+		cfg.Check = onlinecheck.New(onlinecheck.Config{SIRules: db.Mode() != core.Strict2PL})
 	}
 
 	for _, s := range chaos.Specs {
@@ -139,11 +136,14 @@ func RunChaos(db *engine.DB, cfg Config, chaos ChaosConfig) (*ChaosReport, error
 		rep.Violations = append(rep.Violations, fmt.Sprintf(
 			"lock leak: %d held, %d queued after quiesce", rep.HeldLocks, rep.QueuedLocks))
 	}
-	if chk != nil {
-		rep.CheckerReport = chk.Analyze()
-		if chaos.ExpectSerializable && !rep.CheckerReport.Serializable {
+	if v := res.Check; v != nil {
+		if v.Dropped > 0 {
 			rep.Violations = append(rep.Violations, fmt.Sprintf(
-				"serializability lost under faults: %s", rep.CheckerReport.Describe()))
+				"online check incomplete: %d trace events dropped", v.Dropped))
+		}
+		if chaos.ExpectSerializable && (!v.Serializable || v.SIViolations != 0) {
+			rep.Violations = append(rep.Violations, fmt.Sprintf(
+				"isolation lost under faults: %s", v.Describe()))
 		}
 	}
 	return rep, nil

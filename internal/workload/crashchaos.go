@@ -343,6 +343,10 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 	}
 
 	db := engine.Open(ecfg)
+	// The deadline races fsync latency inside the bursts only: a loader
+	// commit queued behind a full flush window would outlive it, failing
+	// the setup instead of exercising the contract.
+	db.SetDefaultTxDeadline(0)
 	if err := smallbank.CreateSchema(db); err != nil {
 		db.Close()
 		return nil, err
@@ -358,6 +362,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		db.Close()
 		return nil, err
 	}
+	db.SetDefaultTxDeadline(cfg.TxDeadline)
 
 	rep := &CrashChaosReport{InitialTotal: initial}
 	violatef := func(format string, args ...any) {

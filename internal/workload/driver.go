@@ -105,7 +105,8 @@ type Config struct {
 	// checker to the run's live trace stream: Run attaches it to the
 	// database's lifecycle recorder (installing a private recorder when
 	// none is configured) and finalizes its report into Result.Check
-	// after the clients drain. The caller constructs the checker so it
+	// after the clients drain, with Report.Dropped set from the
+	// recorder's overflow count. The caller constructs the checker so it
 	// can also expose the live Stats (e.g. through expvar) while the
 	// run is in flight.
 	Check *onlinecheck.Checker
@@ -283,22 +284,9 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 		budgetBase = budget.Denied()
 	}
 
-	// Attach the online checker to the trace stream before any client
-	// starts, so the very first begin is observed. When the database has
-	// no recorder of its own, install a private one for the run; when it
-	// does (the caller also wants the raw stream), reuse it and retain
-	// the delivered events for Result.TraceEvents.
-	var sub *trace.Subscription
-	reuseRec := false
+	var finishCheck func() (*onlinecheck.Report, []trace.Event)
 	if cfg.Check != nil {
-		rec := db.Tracer()
-		reuseRec = rec != nil
-		if !reuseRec {
-			rec = trace.New(trace.Options{})
-			db.SetTracer(rec)
-		}
-		sub = trace.Subscribe(rec, cfg.Check.Ingest,
-			trace.SubOptions{Interval: cfg.CheckInterval, Retain: reuseRec})
+		finishCheck = attachCheck(db, cfg.Check, cfg.CheckInterval)
 	}
 
 	// The clock starts after instrumentation setup: allocating a private
@@ -324,19 +312,8 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 	wg.Wait()
 
 	res := &Result{Config: cfg, Measured: cfg.Measure}
-	if sub != nil {
-		sub.Close() // final drain: every committed event reaches the checker
-		// End-of-stream settle pass: with every terminal delivered and no
-		// transaction in flight, the floor reaches the newest published
-		// CSN and the whole window retires — Result.Check reports the
-		// true memory high-water mark, not a tail of unretired commits.
-		cfg.Check.Ingest(nil)
-		res.Check = cfg.Check.Finalize()
-		if reuseRec {
-			res.TraceEvents = sub.Events()
-		} else {
-			db.SetTracer(nil)
-		}
+	if finishCheck != nil {
+		res.Check, res.TraceEvents = finishCheck()
 	}
 	for i := range res.PerType {
 		res.PerType[i].Aborts = make(map[core.AbortReason]int64)

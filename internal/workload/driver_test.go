@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/onlinecheck"
 	"sicost/internal/simres"
 	"sicost/internal/smallbank"
 )
@@ -259,21 +259,20 @@ func TestDriverSerializableUnderStrategy(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
 			db := loadedDB(t, core.SnapshotFUW, 60)
-			c := checker.New()
-			db.SetObserver(c)
-			_, err := Run(db, Config{
+			res, err := Run(db, Config{
 				Strategy: s,
 				MPL:      8, Customers: 60, HotspotSize: 3, HotspotProb: 1.0,
 				Measure: measure(250 * time.Millisecond), Seed: 5,
+				Check: onlinecheck.New(onlinecheck.Config{SIRules: true}),
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := c.Analyze()
+			rep := res.Check
 			if rep.Txns == 0 {
 				t.Fatal("nothing recorded")
 			}
-			if !rep.Serializable {
+			if !rep.OK() {
 				t.Fatalf("%s produced a non-serializable execution:\n%s", s.Name, rep.Describe())
 			}
 		})
@@ -312,16 +311,19 @@ func TestDriverFindsAnomalyUnderPlainSI(t *testing.T) {
 		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: 40, Seed: 42}); err != nil {
 			t.Fatal(err)
 		}
-		c := checker.New()
-		db.SetObserver(c)
-		if _, err := Run(db, Config{
+		res, err := Run(db, Config{
 			Strategy: smallbank.StrategySI,
 			MPL:      10, Customers: 40, HotspotSize: 2, HotspotProb: 1.0,
 			Measure: 500 * time.Millisecond, Seed: int64(attempt * 31),
-		}); err != nil {
+			Check: onlinecheck.New(onlinecheck.Config{SIRules: true}),
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if rep := c.Analyze(); !rep.Serializable {
+		if res.Check.Dropped > 0 {
+			t.Fatalf("checker fed a lossy stream: %s", res.Check.Describe())
+		}
+		if !res.Check.Serializable {
 			return // anomaly observed, as the theory predicts
 		}
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +84,34 @@ func TestRunOnlineCheckerRetainsTrace(t *testing.T) {
 	opts := trace.ValidateOptions{AllowGaps: rec.Dropped() > 0}
 	if err := trace.ValidateWith(res.TraceEvents, opts); err != nil {
 		t.Fatalf("retained stream fails validation: %v", err)
+	}
+}
+
+// TestRunOnlineCheckReportsDrops: a recorder whose rings overflow loses
+// read-ver events, and a lost read can hide a cycle. Run must carry the
+// overflow count into the report, and the report must not pass as a
+// clean verdict — even on a 2PL execution that is in fact serializable.
+func TestRunOnlineCheckReportsDrops(t *testing.T) {
+	db := loadedDB(t, core.Strict2PL, 100)
+	db.SetTracer(trace.New(trace.Options{Shards: 1, ShardCap: 2}))
+	res, err := Run(db, Config{
+		Strategy: smallbank.StrategySI,
+		MPL:      4, Customers: 100, HotspotSize: 10, HotspotProb: 0.9,
+		Measure: measure(100 * time.Millisecond), Seed: 9,
+		Check:         onlinecheck.New(onlinecheck.Config{}),
+		CheckInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Check.Dropped == 0 {
+		t.Fatalf("a 2-slot ring under %d commits reported no drops", res.Commits)
+	}
+	if res.Check.OK() {
+		t.Fatalf("lossy stream reported as a clean verdict:\n%s", res.Check.Describe())
+	}
+	if !strings.Contains(res.Check.Describe(), "INCOMPLETE") {
+		t.Fatalf("report does not flag the lost events:\n%s", res.Check.Describe())
 	}
 }
 

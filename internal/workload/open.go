@@ -167,17 +167,9 @@ func RunOpen(db *engine.DB, cfg OpenConfig) (*OpenResult, error) {
 		budgetBase = budget.Denied()
 	}
 
-	var sub *trace.Subscription
-	reuseRec := false
+	var finishCheck func() (*onlinecheck.Report, []trace.Event)
 	if cfg.Check != nil {
-		rec := db.Tracer()
-		reuseRec = rec != nil
-		if !reuseRec {
-			rec = trace.New(trace.Options{})
-			db.SetTracer(rec)
-		}
-		sub = trace.Subscribe(rec, cfg.Check.Ingest,
-			trace.SubOptions{Interval: cfg.CheckInterval, Retain: reuseRec})
+		finishCheck = attachCheck(db, cfg.Check, cfg.CheckInterval)
 	}
 
 	ctr := &openCounters{}
@@ -230,15 +222,8 @@ func RunOpen(db *engine.DB, cfg OpenConfig) (*OpenResult, error) {
 	wg.Wait()
 
 	res := &OpenResult{Config: cfg, Measured: cfg.Measure}
-	if sub != nil {
-		sub.Close()
-		cfg.Check.Ingest(nil)
-		res.Check = cfg.Check.Finalize()
-		if reuseRec {
-			res.TraceEvents = sub.Events()
-		} else {
-			db.SetTracer(nil)
-		}
+	if finishCheck != nil {
+		res.Check, res.TraceEvents = finishCheck()
 	}
 	res.Arrivals = ctr.arrivals.Load()
 	res.Dropped = ctr.dropped.Load()

@@ -16,7 +16,6 @@ import (
 	"sicost/internal/onlinecheck"
 	"sicost/internal/server"
 	"sicost/internal/smallbank"
-	"sicost/internal/trace"
 )
 
 // ServerChaosConfig parameterizes the network-server chaos harness: a
@@ -131,10 +130,7 @@ func runServerChaosCycle(cfg ServerChaosConfig, cycle int, mode core.CCMode, rep
 
 	// The online checker rides the server's live trace stream — attached
 	// after the bulk load so only served traffic is checked.
-	rec := trace.New(trace.Options{})
-	db.SetTracer(rec)
-	check := onlinecheck.New(onlinecheck.Config{SIRules: mode != core.Strict2PL})
-	sub := trace.Subscribe(rec, check.Ingest, trace.SubOptions{})
+	finishCheck := attachCheck(db, onlinecheck.New(onlinecheck.Config{SIRules: mode != core.Strict2PL}), 0)
 
 	// Wire-level fault plan: failed reads, partial writes, mid-statement
 	// hangups — each at a rate low enough that most traffic flows.
@@ -212,13 +208,9 @@ func runServerChaosCycle(cfg ServerChaosConfig, cycle int, mode core.CCMode, rep
 	if final != initial {
 		violate("conservation: total money %d, want %d (zero-sum transfers only)", final, initial)
 	}
-	sub.Close()
-	check.Ingest(nil)
-	verdict := check.Finalize()
-	if !verdict.Serializable || verdict.SIViolations != 0 {
+	if verdict, _ := finishCheck(); !verdict.OK() {
 		violate("online check under churn: %s", verdict.Describe())
 	}
-	db.SetTracer(nil)
 
 	// DB.Close under a watchdog: a drain bug that wedges the engine's
 	// inflight accounting shows up as a hang here, not a pass.

@@ -18,9 +18,9 @@
 //   - the SmallBank benchmark with every strategy of the paper's §III-D
 //     (internal/smallbank) and a closed-system workload driver
 //     (internal/workload);
-//   - a runtime multi-version serialization graph checker that certifies
-//     executions serializable or produces an anomaly witness
-//     (internal/checker);
+//   - a windowed online checker that consumes the engine's trace stream
+//     and certifies executions serializable or produces an anomaly
+//     witness (internal/onlinecheck over internal/trace);
 //   - one experiment runner per table and figure of the evaluation
 //     (internal/experiments, cmd/sibench).
 //
@@ -35,12 +35,13 @@
 package sicost
 
 import (
-	"sicost/internal/checker"
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/experiments"
+	"sicost/internal/onlinecheck"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
+	"sicost/internal/trace"
 	"sicost/internal/workload"
 )
 
@@ -54,8 +55,6 @@ type (
 	EngineConfig = engine.Config
 	// CostModel holds per-platform strategy penalties.
 	CostModel = engine.CostModel
-	// TxInfo is the per-commit record delivered to observers.
-	TxInfo = engine.TxInfo
 
 	// Value is a typed column value; Record is a row image; Schema
 	// declares a table with its Columns.
@@ -220,16 +219,26 @@ var (
 	RunWorkload     = workload.Run
 )
 
-// Serializability checking.
+// Serializability checking: install a Recorder with db.SetTracer, run
+// transactions, then replay the drained stream through Check.
 type (
-	// Checker records commits and builds the MVSG.
-	Checker = checker.Checker
-	// CheckReport is an analysis outcome (with anomaly witness).
-	CheckReport = checker.Report
+	// Recorder captures the engine's transaction-lifecycle events.
+	Recorder = trace.Recorder
+	// RecorderOptions sizes a Recorder.
+	RecorderOptions = trace.Options
+	// CheckConfig selects the checked rules (SIRules for the snapshot
+	// modes).
+	CheckConfig = onlinecheck.Config
+	// CheckReport is a verdict (with anomaly witness).
+	CheckReport = onlinecheck.Report
 )
 
-// NewChecker creates a checker; install it with db.SetObserver.
-func NewChecker() *Checker { return checker.New() }
+// NewRecorder creates a Recorder; Check verifies a drained event
+// stream and returns the verdict.
+var (
+	NewRecorder = trace.New
+	Check       = onlinecheck.Run
+)
 
 // Experiments (tables and figures of the paper).
 type (

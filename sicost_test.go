@@ -28,8 +28,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("no money loaded")
 	}
 
-	chk := sicost.NewChecker()
-	db.SetObserver(chk)
+	rec := sicost.NewRecorder(sicost.RecorderOptions{Shards: 1, ShardCap: 1 << 12})
+	db.SetTracer(rec)
 
 	for i := 0; i < 20; i++ {
 		err := sicost.RunSmallBank(db, sicost.StrategyPromoteWTUpd,
@@ -38,8 +38,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep := chk.Analyze()
-	if !rep.Serializable {
+	rep := sicost.Check(rec.Drain(), sicost.CheckConfig{SIRules: true})
+	if rep.Txns == 0 || !rep.OK() {
 		t.Fatalf("sequential deposits flagged: %s", rep.Describe())
 	}
 
