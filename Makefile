@@ -50,17 +50,21 @@ chaos:
 	$(GO) test -short -count=1 -run 'TestChaos|TestInjected|TestFaulted' ./internal/workload ./internal/detsim
 
 # Crash/recover chaos: rotate a panic fault through the commit path
-# (including mid-WAL-flush, inside the coalesced-sync window and at
-# segment rotation), recover from the surviving log image after every
-# crash and audit the durability contract — acked state survives,
-# unacked state vanishes, money is conserved, recovery is idempotent.
-# The second smallbank run exercises asynchronous commit on a segmented
-# log, auditing the durable-prefix contract instead (acked-durable
-# commits survive; only the un-acked tail may vanish).
+# (including mid-WAL-flush, inside the coalesced-sync window, at segment
+# rotation, mid-checkpoint-link and mid-retirement) on an in-memory
+# segment log with the checkpoint chain live, recover from the surviving
+# log image after every crash and audit the durability contract — acked
+# state survives, unacked state vanishes, money is conserved, recovery
+# is idempotent. The second smallbank run exercises asynchronous commit
+# on 4 KiB segments, auditing the durable-prefix contract instead
+# (acked-durable commits survive; only the un-acked tail may vanish).
+# The suite then runs once under the race detector and five more times
+# without it, so a one-in-ten flake shows up here rather than later.
 crash:
 	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -mode 2pl -seed 7 > /dev/null
 	$(GO) run ./cmd/smallbank -crash -crash-cycles 10 -crash-async -crash-segment-size 4096 -seed 11 > /dev/null
 	$(GO) test -race -count=1 -run TestCrashChaos ./internal/workload
+	$(GO) test -count=5 -run TestCrashChaos ./internal/workload
 
 # Fuzz the recovery pipeline: arbitrary bytes through the frame decoder
 # and the full engine rebuild, arbitrary multi-segment layouts through
@@ -119,7 +123,7 @@ bench:
 	$(GO) test -run XXX -bench 'BenchmarkCommitCheckpointMPL16' -benchtime 1s -count 3 -benchmem ./internal/engine | tee bench_ckpt.txt
 	$(GO) test -run XXX -bench 'BenchmarkServerRoundTrip' -benchtime 1s -count 3 -benchmem ./internal/server | tee bench_server.txt
 	$(GO) run ./cmd/benchjson -o BENCH_engine.json \
-		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory device (encoding + CRC32C framing) vs real log file (OS write per flushed batch); the CommitDurableMPL16 group prices group commit at 16 committers against a file device with a simulated 200us sync — baseline (one fsync per commit, the pre-coalescing loop) vs coalesced windows vs asynchronous commit vs a segment-rotated log, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against a file device with a large cold table: none (no checkpoints, the baseline), stw (a stop-the-world Checkpoint every 25ms — commits stall behind the full snapshot and rewrite) and fuzzy (the log-growth scheduler streaming incremental links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none, where stw is typically an order of magnitude worse. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
+		-note "Parallel commit benchmark, uniform keys; baseline = pre-sharding global-mutex design. The tracing set measures the serial commit cycle with the lifecycle recorder absent (off), installed-but-disabled (the <=5% budget: one atomic load per emission point), and capturing (enabled). The durable set prices the WAL: latency-only (no device) vs in-memory segment log (encoding + CRC32C framing) vs segment log on disk (OS write per flushed batch); the CommitDurableMPL16 group prices group commit at 16 committers against an on-disk segment log with a simulated 200us sync — baseline (one fsync per commit, the pre-coalescing loop) vs coalesced windows vs asynchronous commit vs 256KiB segment rotation, with commits/sync as the coalescing gauge. The checking set prices the online isolation checker: off/traced/checked time the same commit cycle with ring consumption off-timer (traced->checked is the <=5% commit-path budget), and BenchmarkIngest reports the checker's own off-path cost per event. The admission set prices the adaptive admission gate at Begin: off (Config.Admission nil, one pointer branch — the <=5% acceptance budget against the plain commit cycle) vs on (uncontended fast-path slot acquire/release around each transaction, AIMD controller ticking in the background). The checkpoint set prices checkpoint interference at 16 committers against an on-disk segment log with a large cold table: none (no checkpoints, the baseline) and fuzzy (the log-growth scheduler streaming chain links concurrently with commits); p99-ns is the acceptance gauge — fuzzy must stay within 2x of none. The server set prices one full network round-trip — request encode, loopback TCP, line parse, statement execute, response encode/decode — through cmd/sisqld's serving stack (internal/server) with an autocommit single-row SELECT." \
 		baseline=bench/baseline_preshard.txt sharded=bench_latest.txt tracing=bench_traced.txt durable=bench_durable.txt checking=bench_check.txt admission=bench_admission.txt checkpoint=bench_ckpt.txt server=bench_server.txt
 	rm -f bench_latest.txt bench_traced.txt bench_durable.txt bench_check.txt bench_admission.txt bench_ckpt.txt bench_server.txt
 

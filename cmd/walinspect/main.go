@@ -1,30 +1,25 @@
-// Command walinspect dumps and validates a write-ahead-log image: it
-// scans the frame stream (length + CRC32C framing, see internal/wal),
-// reports the classification recovery would act on — last checkpoint,
+// Command walinspect dumps and validates a write-ahead log: a directory
+// of wal.NNNN segments (the cmd/smallbank -wal layout). It validates the
+// layout — contiguous indices, no corruption in sealed segments — scans
+// the concatenated frame stream (length + CRC32C framing, see
+// internal/wal; frames may straddle segment boundaries), reports the
+// classification recovery would act on — folded checkpoint chain,
 // schemas in effect, redo commits, CSN high-water mark — and flags a
-// torn or corrupt tail. With -repair it truncates the file to the valid
+// torn or corrupt tail. With -repair it truncates the log to the valid
 // prefix, exactly what engine recovery would do.
 //
-// The argument may be a single log file or a directory of wal.NNNN
-// segments (the -wal-segment-size layout): a directory is validated as
-// a segmented layout — contiguous indices, no corruption in sealed
-// segments — and classified as the concatenated stream, with frames
-// allowed to straddle segment boundaries.
-//
-// Fuzzy incremental checkpoints appear as delta-begin/delta-rows/
-// delta-end frame triples; the classification reports the folded chain
-// (root plus complete links) exactly as recovery would fold it. For
-// point-in-time recovery over retired segments, -archive merges a
-// directory of archived wal.NNNN segments in front of the live ones
-// before validating and classifying the combined layout.
+// Checkpoints appear as delta-begin/delta-rows/delta-end frame triples;
+// the classification reports the folded chain (root plus complete
+// links) exactly as recovery would fold it. For point-in-time recovery
+// over retired segments, -archive merges a directory of archived
+// wal.NNNN segments in front of the live ones before validating and
+// classifying the combined layout.
 //
 // Usage:
 //
-//	walinspect run.wal                  # summary + torn-tail verdict
-//	walinspect -frames run.wal          # additionally dump every frame
-//	walinspect -repair run.wal          # truncate a torn tail in place
-//	walinspect waldir/                  # segmented: validate + classify wal.NNNN files
-//	walinspect -repair waldir/          # truncate the torn tail across segments
+//	walinspect waldir/                  # summary + torn-tail verdict
+//	walinspect -frames waldir/          # additionally dump every frame
+//	walinspect -repair waldir/          # truncate the torn tail in place
 //	walinspect -archive waldir/archive waldir/   # classify archived + live segments
 //
 // Exit status is 1 on a torn tail left unrepaired, 2 on usage, I/O or
@@ -48,7 +43,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] [-archive dir] <logfile|segmentdir>")
+		fmt.Fprintln(os.Stderr, "usage: walinspect [-frames] [-repair] [-archive dir] <segmentdir>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -57,47 +52,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "walinspect:", err)
 		os.Exit(2)
 	}
-	if st.IsDir() {
-		if *repair && *archive != "" {
-			fmt.Fprintln(os.Stderr, "walinspect: -repair cannot be combined with -archive (repair the live directory alone)")
-			os.Exit(2)
-		}
-		inspectSegments(path, *archive, *frames, *repair)
-		return
-	}
-	if *archive != "" {
-		fmt.Fprintln(os.Stderr, "walinspect: -archive requires a segment directory argument")
+	if !st.IsDir() {
+		fmt.Fprintf(os.Stderr, "walinspect: %s is not a directory of wal.NNNN segments\n", path)
 		os.Exit(2)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect:", err)
+	if *repair && *archive != "" {
+		fmt.Fprintln(os.Stderr, "walinspect: -repair cannot be combined with -archive (repair the live directory alone)")
 		os.Exit(2)
 	}
-
-	info := wal.Classify(b)
-	fmt.Printf("%s: %d bytes, %d valid frames in %d bytes\n", path, len(b), info.Frames, info.ValidBytes)
-
-	if *frames {
-		dumpFrames(b)
-	}
-
-	printClassification(info)
-
-	if info.TornBytes == 0 {
-		fmt.Println("tail: clean")
-		return
-	}
-	fmt.Printf("tail: TORN — %d bytes past offset %d do not decode\n", info.TornBytes, info.ValidBytes)
-	if !*repair {
-		fmt.Println("run with -repair to truncate to the valid prefix")
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, b[:info.ValidBytes], 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "walinspect: repair:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("repaired: truncated to %d bytes\n", info.ValidBytes)
+	inspectSegments(path, *archive, *frames, *repair)
 }
 
 // printClassification prints the recovery-relevant view of a classified
@@ -108,12 +71,8 @@ func printClassification(info *wal.RecoveryInfo) {
 		for _, t := range info.Checkpoint.Tables {
 			rows += len(t.Rows)
 		}
-		if info.ChainLinks > 0 {
-			fmt.Printf("checkpoint: CSN %d, %d tables, %d rows (folded from a chain of %d delta links)\n",
-				info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows, info.ChainLinks)
-		} else {
-			fmt.Printf("checkpoint: CSN %d, %d tables, %d rows\n", info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows)
-		}
+		fmt.Printf("checkpoint: CSN %d, %d tables, %d rows (folded from a chain of %d links)\n",
+			info.Checkpoint.CSN, len(info.Checkpoint.Tables), rows, info.ChainLinks)
 	} else {
 		fmt.Println("checkpoint: none (recovery replays the full log)")
 	}
@@ -130,9 +89,9 @@ func printClassification(info *wal.RecoveryInfo) {
 
 // inspectSegments validates and classifies a directory of wal.NNNN
 // segments: layout errors (index gaps, duplicates, corruption inside a
-// sealed segment) are fatal; a torn tail in the LAST segment is the
-// same repairable condition as in a flat log, truncated across
-// segments with -repair.
+// sealed segment, a legacy checkpoint frame) are fatal; a torn tail in
+// the LAST segment is repairable, truncated across segments with
+// -repair.
 func inspectSegments(dir, archiveDir string, frames, repair bool) {
 	segs, total := readSegments(dir)
 	if archiveDir != "" {
@@ -267,13 +226,6 @@ func dumpFrames(b []byte) {
 		case f.Commit != nil:
 			fmt.Printf("  [%d] @%d commit tx=%d csn=%d rows=%d (%d bytes)\n",
 				i, off, f.Commit.TxID, f.Commit.CSN, len(f.Commit.Rows), n)
-		case f.Checkpoint != nil:
-			rows := 0
-			for _, t := range f.Checkpoint.Tables {
-				rows += len(t.Rows)
-			}
-			fmt.Printf("  [%d] @%d checkpoint csn=%d tables=%d rows=%d (%d bytes)\n",
-				i, off, f.Checkpoint.CSN, len(f.Checkpoint.Tables), rows, n)
 		case f.Schema != nil:
 			fmt.Printf("  [%d] @%d schema %s (%d bytes)\n", i, off, f.Schema.Name, n)
 		case f.DeltaBegin != nil:

@@ -12,17 +12,17 @@ import (
 	"sicost/internal/wal"
 )
 
-// syncGateDevice delegates to a MemDevice but blocks Sync until
-// released, holding commits in the pre-durable window.
+// syncGateDevice delegates to an in-memory segment log but blocks Sync
+// until released, holding commits in the pre-durable window.
 type syncGateDevice struct {
-	wal.MemDevice
+	*wal.SegmentLog
 	mu      sync.Mutex
 	open    bool
 	release chan struct{}
 }
 
-func newSyncGateDevice() *syncGateDevice {
-	return &syncGateDevice{release: make(chan struct{})}
+func newSyncGateDevice(t *testing.T) *syncGateDevice {
+	return &syncGateDevice{SegmentLog: memLog(t), release: make(chan struct{})}
 }
 
 func (d *syncGateDevice) Sync() error {
@@ -32,7 +32,7 @@ func (d *syncGateDevice) Sync() error {
 	if !open {
 		<-d.release
 	}
-	return d.MemDevice.Sync()
+	return d.SegmentLog.Sync()
 }
 
 func (d *syncGateDevice) Open() {
@@ -49,7 +49,7 @@ func (d *syncGateDevice) Open() {
 // for the device sync; DurableSeq trails CommitSeq by exactly the
 // durability lag; the durability future resolves when the sync lands.
 func TestAsyncCommitVisibleBeforeDurable(t *testing.T) {
-	dev := newSyncGateDevice()
+	dev := newSyncGateDevice(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}, AsyncCommit: true})
 	defer db.Close()
 
@@ -119,7 +119,7 @@ func TestAsyncCommitVisibleBeforeDurable(t *testing.T) {
 // commits) hand out an already-resolved future, so callers can await
 // Durable() uniformly.
 func TestSyncCommitDurableFutureResolved(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev)
 	defer db.Close()
 
@@ -152,7 +152,7 @@ func TestSyncCommitDurableFutureResolved(t *testing.T) {
 // pending tail instead of failing it — a graceful shutdown loses
 // nothing.
 func TestAsyncCloseDrains(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}, AsyncCommit: true})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestAsyncCloseDrains(t *testing.T) {
 // TestTxSetAsyncOverride: the per-transaction override wins over the
 // database default in both directions.
 func TestTxSetAsyncOverride(t *testing.T) {
-	dev := newSyncGateDevice()
+	dev := newSyncGateDevice(t)
 	dev.Open()
 	db := Open(Config{WAL: wal.Config{Device: dev}})
 	defer db.Close()
@@ -230,7 +230,7 @@ func TestTxSetAsyncOverride(t *testing.T) {
 	}
 
 	// And the reverse: an async-default DB with SetAsync(false) waits.
-	db2 := Open(Config{WAL: wal.Config{Device: wal.NewMemDevice()}, AsyncCommit: true})
+	db2 := Open(Config{WAL: wal.Config{Device: memLog(t)}, AsyncCommit: true})
 	defer db2.Close()
 	if err := db2.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestTxSetAsyncOverride(t *testing.T) {
 func TestQuickAsyncDurablePrefix(t *testing.T) {
 	prop := func(seed int64, faultAfter uint8, faultAtSync bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		dev := wal.NewMemDevice()
+		dev := memLog(t)
 		reg := faultinject.New(seed)
 		db := Open(Config{WAL: wal.Config{Device: dev, MaxBatch: 3}, Faults: reg})
 		if err := db.CreateTable(kvSchema("T")); err != nil {
@@ -346,10 +346,7 @@ func TestQuickAsyncDurablePrefix(t *testing.T) {
 
 		// Published state and its restriction to the durable prefix,
 		// captured before teardown.
-		img, err := dev.Contents()
-		if err != nil {
-			t.Fatal(err)
-		}
+		img := logImage(t, dev)
 		db.Close()
 
 		// (1) CSN order on the device: strictly ascending.
@@ -366,7 +363,7 @@ func TestQuickAsyncDurablePrefix(t *testing.T) {
 			last = f.Commit.CSN
 		}
 
-		db2, _, err := Recover(wal.NewMemDeviceBytes(img), Config{})
+		db2, _, err := Recover(logFrom(t, img), Config{})
 		if err != nil {
 			t.Logf("seed %d: recover: %v", seed, err)
 			return false
@@ -490,14 +487,11 @@ func TestStressAsyncCommittersVsRecovery(t *testing.T) {
 		t.Fatal("injected sync crash never fired — the stress run was too small")
 	}
 
-	img, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := logImage(t, dev)
 	preSeq := db.CommitSeq()
 	db.Close()
 
-	db2, rep, err := Recover(wal.NewMemDeviceBytes(img), Config{})
+	db2, rep, err := Recover(logFrom(t, img), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +532,7 @@ func TestStressAsyncCommittersVsRecovery(t *testing.T) {
 // resolve with the sticky error and WaitDurable reports it rather than
 // hanging.
 func TestAsyncBrokenWALFailsFutures(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	reg := faultinject.New(7)
 	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg, AsyncCommit: true})
 	defer db.Close()

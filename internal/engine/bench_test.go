@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -15,6 +14,17 @@ import (
 	"sicost/internal/core"
 	"sicost/internal/wal"
 )
+
+// fileLog opens a segment log in a fresh temporary directory, rotating
+// at segSize bytes (0 = wal.DefaultSegmentSize), closed at cleanup.
+func fileLog(b *testing.B, segSize int64) *wal.SegmentLog {
+	dev, err := wal.OpenSegmentLog(b.TempDir(), segSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { dev.Close() })
+	return dev
+}
 
 // benchDB builds a DB for benchmarking: no simulated costs, table T
 // preloaded with rows keys [0,rows).
@@ -182,23 +192,16 @@ func BenchmarkCommitParallelHot(b *testing.B) {
 // (begin, read, update, commit). latency-only is the pre-durability
 // WAL: the flush loop simulates group-commit latency but persists
 // nothing. mem adds the record encoding and CRC32C framing into an
-// in-memory device, so mem-latency is the pure codec cost. file adds
-// the OS write of each flushed batch to a real log file.
+// in-memory segment log, so mem-latency is the pure codec cost. file
+// adds the OS write of each flushed batch to a segment log on disk.
 func BenchmarkCommitDurable(b *testing.B) {
 	for _, v := range []struct {
 		name string
 		dev  func(b *testing.B) wal.LogDevice
 	}{
 		{"latency-only", func(b *testing.B) wal.LogDevice { return nil }},
-		{"mem", func(b *testing.B) wal.LogDevice { return wal.NewMemDevice() }},
-		{"file", func(b *testing.B) wal.LogDevice {
-			dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dev.Close() })
-			return dev
-		}},
+		{"mem", func(b *testing.B) wal.LogDevice { return memLog(b) }},
+		{"file", func(b *testing.B) wal.LogDevice { return fileLog(b, 0) }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			const rows = 1024
@@ -240,46 +243,31 @@ func BenchmarkCommitDurable(b *testing.B) {
 }
 
 // BenchmarkCommitDurableMPL16 prices group commit under contention for
-// the device: 16 committers on disjoint key stripes against a real log
-// file. baseline pays one fsync per MaxBatch-sized flush group (the
-// pre-coalescing flush loop, Config.SyncEveryGroup); coalesced covers
-// every group queued during the previous fsync with ONE device sync;
-// async publishes before durability and rides the same coalesced syncs
-// off the commit path; segments adds rotation every 256KiB. The
-// commits/sync metric is the tentpole's acceptance gate: coalesced must
-// beat baseline ≥4× at this MPL.
+// the device: 16 committers on disjoint key stripes against a segment
+// log on disk (default segment size, so no rotation in a run). baseline
+// pays one fsync per MaxBatch-sized flush group (the pre-coalescing
+// flush loop, Config.SyncEveryGroup); coalesced covers every group
+// queued during the previous fsync with ONE device sync; async
+// publishes before durability and rides the same coalesced syncs off
+// the commit path; segments adds rotation every 256KiB. The commits/sync
+// metric is the acceptance gate: coalesced must beat baseline ≥4× at
+// this MPL.
 func BenchmarkCommitDurableMPL16(b *testing.B) {
 	const (
 		mpl    = 16
 		stripe = 64
 		rows   = mpl * stripe
 	)
-	fileDev := func(b *testing.B) wal.LogDevice {
-		dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { dev.Close() })
-		return dev
-	}
-	segDev := func(b *testing.B) wal.LogDevice {
-		dev, err := wal.OpenSegmentLog(b.TempDir(), 256<<10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { dev.Close() })
-		return dev
-	}
 	for _, v := range []struct {
 		name     string
-		dev      func(b *testing.B) wal.LogDevice
+		segSize  int64
 		baseline bool // one sync per flush group (pre-coalescing loop)
 		async    bool
 	}{
-		{"baseline-file", fileDev, true, false},
-		{"coalesced-file", fileDev, false, false},
-		{"async-file", fileDev, false, true},
-		{"segments-file", segDev, false, false},
+		{"baseline-file", 0, true, false},
+		{"coalesced-file", 0, false, false},
+		{"async-file", 0, false, true},
+		{"segments-file", 256 << 10, false, false},
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			// FsyncLatency models a realistic ~200µs device sync on top of
@@ -290,7 +278,7 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 			db := Open(Config{
 				Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
 				WAL: wal.Config{
-					Device: v.dev(b), MaxBatch: 1, SyncEveryGroup: v.baseline,
+					Device: fileLog(b, v.segSize), MaxBatch: 1, SyncEveryGroup: v.baseline,
 					FsyncLatency: 200 * time.Microsecond,
 				},
 				AsyncCommit: v.async,
@@ -348,17 +336,13 @@ func BenchmarkCommitDurableMPL16(b *testing.B) {
 }
 
 // BenchmarkCommitCheckpointMPL16 prices checkpoint interference on the
-// commit path: 16 committers on disjoint stripes against a file device
-// (simulated 200µs sync), with a deliberately large cold table so the
-// checkpoint has real work to do. none is the interference-free
-// baseline; stw takes a stop-the-world Checkpoint every 25ms — every
-// commit stalls behind the full snapshot and rewrite, which is the
-// pause the fuzzy machinery exists to kill; fuzzy runs the log-growth
-// scheduler taking incremental links concurrently with the committers,
-// holding the barrier only to cut and append a begin marker. The
-// p99-ns metric is the acceptance gate: fuzzy must stay within 2× of
-// none at this MPL (stw is the contrast, typically an order of
-// magnitude worse).
+// commit path: 16 committers on disjoint stripes against a segment log
+// on disk (simulated 200µs sync), with a deliberately large cold table
+// so the checkpoint has real work to do. none is the interference-free
+// baseline; fuzzy runs the log-growth scheduler taking chain links
+// concurrently with the committers, holding the barrier only to cut and
+// append a begin marker. The p99-ns metric is the acceptance gate:
+// fuzzy must stay within 2× of none at this MPL.
 func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 	const (
 		mpl    = 16
@@ -375,22 +359,15 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 	}
 	for _, v := range []struct {
 		name  string
-		stw   bool
 		fuzzy bool
 	}{
-		{"none", false, false},
-		{"stw", true, false},
-		{"fuzzy", false, true},
+		{"none", false},
+		{"fuzzy", true},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			dev, err := wal.OpenFileDevice(filepath.Join(b.TempDir(), "bench.wal"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { dev.Close() })
 			cfg := Config{
 				Mode: core.SnapshotFUW, Platform: core.PlatformPostgres,
-				WAL: wal.Config{Device: dev, FsyncLatency: 200 * time.Microsecond},
+				WAL: wal.Config{Device: fileLog(b, 0), FsyncLatency: 200 * time.Microsecond},
 			}
 			if v.fuzzy {
 				cfg.CheckpointLogBytes = 128 << 10
@@ -408,26 +385,6 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 			}
 			if err := tx.Commit(); err != nil {
 				b.Fatal(err)
-			}
-			stop := make(chan struct{})
-			var ckptWG sync.WaitGroup
-			if v.stw {
-				ckptWG.Add(1)
-				go func() {
-					defer ckptWG.Done()
-					t := time.NewTicker(25 * time.Millisecond)
-					defer t.Stop()
-					for {
-						select {
-						case <-stop:
-							return
-						case <-t.C:
-							if _, err := db.Checkpoint(); err != nil {
-								return
-							}
-						}
-					}
-				}()
 			}
 			lats := make([][]int64, mpl)
 			b.ReportAllocs()
@@ -459,8 +416,6 @@ func BenchmarkCommitCheckpointMPL16(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			close(stop)
-			ckptWG.Wait()
 			var all []int64
 			for _, l := range lats {
 				all = append(all, l...)

@@ -13,7 +13,7 @@ import (
 // recovers it: the fold must land on the final cut, replay nothing that
 // a link already covers, and reproduce the exact final state.
 func TestCheckpointIncrementalChainRecovery(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev) // rows {1:100, 2:200} at CSN 1
 	if _, err := db.CheckpointIncremental(); err != nil {
 		t.Fatal(err) // full root at cut 1
@@ -60,7 +60,7 @@ func TestCheckpointIncrementalChainRecovery(t *testing.T) {
 // the incomplete link never partially folds, and the commits it covered
 // are replayed as redo from the previous link's cut instead.
 func TestCheckpointIncrementalTornLastLink(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev)
 	if _, err := db.CheckpointIncremental(); err != nil {
 		t.Fatal(err) // full root at cut 1
@@ -76,13 +76,10 @@ func TestCheckpointIncrementalTornLastLink(t *testing.T) {
 	}
 	after := dev.Size()
 	db.Close()
-	full, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := logImage(t, dev)
 
 	for cut := before; cut < after; cut++ {
-		torn := wal.NewMemDeviceBytes(append([]byte(nil), full[:cut]...))
+		torn := logFrom(t, append([]byte(nil), full[:cut]...))
 		db2, rep, rerr := Recover(torn, Config{})
 		if rerr != nil {
 			t.Fatalf("cut %d: %v", cut, rerr)
@@ -105,7 +102,7 @@ func TestCheckpointIncrementalTornLastLink(t *testing.T) {
 // CheckpointChainMax=2 the third link must be written full again
 // (Base 0), starting a fresh chain recovery folds without the old root.
 func TestCheckpointChainMaxReRoots(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}, CheckpointChainMax: 2})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -146,8 +143,8 @@ func TestCheckpointChainMaxReRoots(t *testing.T) {
 // live: the log-growth scheduler takes incremental checkpoints on its
 // own, chain re-roots advance the retirement bound, covered segments
 // are archived and deleted while commits keep flowing — and the
-// surviving live directory alone recovers the exact final state. This
-// is the bounded-log property -retire exists for.
+// surviving live directory alone recovers the exact final state: the
+// checkpoint chain bounds the log.
 func TestCheckpointSchedulerRetiresSegments(t *testing.T) {
 	walDir, archDir := t.TempDir(), t.TempDir()
 	sl, err := wal.OpenSegmentLog(walDir, 2048)
@@ -158,7 +155,6 @@ func TestCheckpointSchedulerRetiresSegments(t *testing.T) {
 		WAL:                wal.Config{Device: sl},
 		CheckpointLogBytes: 4096,
 		CheckpointChainMax: 2,
-		RetireSegments:     true,
 		ArchiveDir:         archDir,
 	})
 	if err := db.CreateTable(kvSchema("T")); err != nil {

@@ -108,13 +108,9 @@ type Config struct {
 	// re-rooting the chain and advancing the segment-retirement bound.
 	// Zero means DefaultCheckpointChainMax.
 	CheckpointChainMax int
-	// RetireSegments unlinks sealed segments wholly covered by the
-	// checkpoint chain after each completed link (segmented devices
-	// only), bounding log size online without the stop-the-world
-	// Rewrite.
-	RetireSegments bool
-	// ArchiveDir, when non-empty, copies each retired segment there
-	// before the unlink — the point-in-time-recovery source.
+	// ArchiveDir, when non-empty, copies each segment the checkpoint
+	// chain retires there before the unlink — the point-in-time-recovery
+	// source.
 	ArchiveDir string
 	// Faults is the fault-injection registry consulted by the engine,
 	// storage and WAL fault points; nil (the default) compiles every
@@ -167,18 +163,17 @@ type DB struct {
 	visibleCSN atomic.Uint64
 	// ckptMu is the checkpoint barrier: every updating commit holds the
 	// read side across its allocCSNEnqueue→publishCSN window (WAL enqueue
-	// included), so Checkpoint's write side opens only when no commit is
-	// between allocation and publication. At that instant every
-	// allocated CSN is published, which is what lets the checkpoint
-	// rewrite (truncate) the log without losing redo work: sync commits
-	// are durable before they publish, and an async commit's pending
-	// frame carries a CSN ≤ the cut, so the snapshot already covers it
-	// (recovery skips the late frame).
+	// included), so a checkpoint's write side opens only when no commit
+	// is between allocation and publication. At that instant every
+	// allocated CSN is published and its dirty keys are marked, so the
+	// cut, the drained dirty epoch and the begin marker appended under
+	// the barrier agree: no commit above the cut precedes the marker in
+	// the log, and an async commit's pending frame carries a CSN ≤ the
+	// cut, which the link already covers (recovery skips the late frame).
 	ckptMu sync.RWMutex
-	// Fuzzy incremental checkpoint state. ckptRunMu serializes whole
-	// checkpoint runs (STW and incremental — a run spans the barrier
-	// cut, the streamed link and the end-marker sync); ckptStateMu
-	// guards the chain bookkeeping those runs update.
+	// Checkpoint chain state. ckptRunMu serializes whole checkpoint runs
+	// (a run spans the barrier cut, the streamed link and the end-marker
+	// sync); ckptStateMu guards the chain bookkeeping those runs update.
 	ckptRunMu   sync.Mutex
 	ckptStateMu sync.Mutex
 	// chainBase is the cut of the newest durable chain link (0: no
@@ -456,10 +451,10 @@ func (db *DB) Faults() *faultinject.Registry { return db.faults }
 // CreateTable declares a table. With a durable log attached the schema
 // is appended as a DDL frame, so a log that has never been checkpointed
 // still rebuilds its table definitions on recovery. The create and the
-// DDL append run under the checkpoint barrier's read side: a checkpoint
-// cutting between them could snapshot the store without the table and
-// then Rewrite the log, discarding the schema frame permanently — later
-// commit frames for the table would then fail recovery.
+// DDL append run under the checkpoint barrier's read side: a full link
+// cutting between them could embed a schema set without the table and
+// then retire the segment holding the schema frame — later commit
+// frames for the table would then fail recovery.
 func (db *DB) CreateTable(schema *core.Schema) error {
 	db.ckptMu.RLock()
 	defer db.ckptMu.RUnlock()
@@ -474,69 +469,34 @@ func (db *DB) CreateTable(schema *core.Schema) error {
 // written full again, advancing the segment-retirement bound.
 const DefaultCheckpointChainMax = 8
 
-// Checkpoint serializes a consistent snapshot of the database at the
-// current commit high-water mark and truncates the log to it, bounding
-// recovery's replay cost. It requires a durable log device. The
-// snapshot is point-in-time consistent: it is taken under the commit
-// barrier (see ckptMu) — every commit stalls for the whole snapshot
-// and rewrite, the stop-the-world cost CheckpointIncremental exists to
-// avoid. Returns the cut.
-func (db *DB) Checkpoint() (uint64, error) {
-	if !db.log.Persistent() {
-		return 0, core.ErrWALClosed
-	}
-	db.ckptRunMu.Lock()
-	defer db.ckptRunMu.Unlock()
-	start := time.Now()
-	db.ckptMu.Lock()
-	cut := db.visibleCSN.Load()
-	// The full image supersedes the dirty epochs; drain them so the
-	// next incremental link is not bloated with keys the image covers.
-	for _, name := range db.store.TableNames() {
-		if t, terr := db.store.Table(name); terr == nil {
-			t.SwapDirty()
-		}
-	}
-	ckpt, err := (&wal.Checkpointer{Log: db.log}).Run(db.store, cut)
-	sample := 0
-	if err == nil {
-		if sl, ok := db.log.Device().(*wal.SegmentLog); ok {
-			sample = sl.CurrentSegment()
-		}
-	}
-	db.ckptMu.Unlock()
-	pause := time.Since(start).Nanoseconds()
-	db.ckptPauseNS.Add(pause)
-	db.lastPauseNS.Store(pause)
-	if err != nil {
-		db.resetChain()
-		return 0, err
-	}
-	// The checkpoint frame is a valid chain root: delta links may build
-	// on its cut (foldChain accepts Base == the frame's CSN).
-	db.ckptStateMu.Lock()
-	db.chainBase, db.chainLinks, db.chainRootSeg = cut, 1, sample
-	db.ckptStateMu.Unlock()
-	if db.tracer.Enabled() {
-		db.tracer.Emit(trace.Event{Kind: trace.EvCheckpoint, CSN: cut, Bytes: len(wal.EncodeCheckpoint(ckpt))})
-	}
-	return cut, nil
-}
+// Checkpoint re-roots the checkpoint chain: it starts a new log segment
+// and writes a full link at the current commit high-water mark there,
+// whatever the chain length. Like every full link it then retires the
+// segments the link covers — here every segment before it — so the live
+// log is the link plus what follows it, and recovery replays only that.
+// It requires a durable log device. Commits stall only for the cut and
+// the segment switch; the rows stream concurrently (see
+// CheckpointIncremental). Returns the cut (0, writing nothing, before
+// the first commit).
+func (db *DB) Checkpoint() (uint64, error) { return db.checkpoint(true) }
 
 // CheckpointIncremental takes one fuzzy checkpoint: a delta link over
-// the keys dirtied since the previous link (or a full base-0 link when
-// there is no chain, or the chain reached CheckpointChainMax). The
+// the keys dirtied since the previous link, or a full base-0 link when
+// there is no chain or the chain reached CheckpointChainMax. The
 // commit barrier is held only for the cut — read the visible CSN, swap
 // the dirty epochs, append the begin marker, sample the retirement
 // bound — while the expensive parts (resolving after-images, streaming
 // them, the end-marker sync) run concurrently with commits: versions
 // at or below the cut are immutable, and appending the begin marker
 // under the barrier guarantees no commit with CSN > cut precedes it in
-// the byte stream. After a full link completes, segments wholly behind
-// the chain root are retired when Config.RetireSegments is set.
-// Returns the cut (unchanged and without writing anything when no
-// commit landed since the previous link).
-func (db *DB) CheckpointIncremental() (uint64, error) {
+// the byte stream. After each completed link, segments wholly behind
+// the chain root are retired. Returns the cut (unchanged and without
+// writing anything when no commit landed since the previous link).
+func (db *DB) CheckpointIncremental() (uint64, error) { return db.checkpoint(false) }
+
+// checkpoint writes one chain link; force makes it a full link in a
+// fresh segment.
+func (db *DB) checkpoint(force bool) (uint64, error) {
 	if !db.log.Persistent() {
 		return 0, core.ErrWALClosed
 	}
@@ -551,7 +511,7 @@ func (db *DB) CheckpointIncremental() (uint64, error) {
 	if chainMax <= 0 {
 		chainMax = DefaultCheckpointChainMax
 	}
-	full := base == 0 || links >= chainMax
+	full := force || base == 0 || links >= chainMax
 
 	start := time.Now()
 	db.ckptMu.Lock()
@@ -574,6 +534,15 @@ func (db *DB) CheckpointIncremental() (uint64, error) {
 	begin := &wal.DeltaBegin{CSN: cut, Schemas: wal.Schemas(db.store)}
 	if !full {
 		begin.Base = base
+	}
+	if force {
+		// A forced re-root starts a fresh segment first, so the link
+		// covers — and retires — every segment before it.
+		if err := db.log.Rotate(); err != nil {
+			db.ckptMu.Unlock()
+			db.resetChain()
+			return 0, err
+		}
 	}
 	if full {
 		// Sampled before the append: if the begin itself triggers a
@@ -641,7 +610,7 @@ func (db *DB) CheckpointIncremental() (uint64, error) {
 	if db.tracer.Enabled() {
 		db.tracer.Emit(trace.Event{Kind: trace.EvCkptEnd, CSN: cut, Depth: links, Bytes: linkBytes})
 	}
-	if db.cfg.RetireSegments && bound > 0 {
+	if bound > 0 {
 		if _, _, rerr := db.log.Retire(bound, db.cfg.ArchiveDir); rerr != nil {
 			return cut, rerr
 		}
@@ -689,13 +658,12 @@ func (db *DB) ckptLoop() {
 	}
 }
 
-// CheckpointStats reports the engine-side fuzzy-checkpoint counters;
-// the WAL-side view (delta links durable, retired and archived
-// segments) lives in wal.Stats.
+// CheckpointStats reports the engine-side checkpoint-chain counters;
+// the WAL-side view (links durable, retired and archived segments)
+// lives in wal.Stats.
 type CheckpointStats struct {
-	// Links counts completed incremental links, FullLinks the chain
-	// re-roots among them (STW checkpoints count in neither — see
-	// wal.Stats.Checkpoints).
+	// Links counts completed chain links, FullLinks the chain re-roots
+	// among them (Checkpoint calls included).
 	Links     int64
 	FullLinks int64
 	// ChainLinks and ChainBase describe the current chain: its length
@@ -706,13 +674,12 @@ type CheckpointStats struct {
 	// approximate under concurrent commits).
 	DirtyKeys int
 	// PauseNS is the cumulative commit-barrier hold time across
-	// checkpoints (an STW run counts its whole snapshot and rewrite);
-	// LastPauseNS the most recent hold.
+	// checkpoints; LastPauseNS the most recent hold.
 	PauseNS     int64
 	LastPauseNS int64
 }
 
-// CheckpointStats snapshots the fuzzy-checkpoint counters.
+// CheckpointStats snapshots the checkpoint-chain counters.
 func (db *DB) CheckpointStats() CheckpointStats {
 	s := CheckpointStats{
 		Links:       db.incrCkpts.Load(),

@@ -11,13 +11,14 @@ import (
 
 // RecoveryReport summarizes what Recover rebuilt.
 type RecoveryReport struct {
-	// Log is the device-scan result: checkpoint found, redo frames,
+	// Log is the log-scan result: checkpoint chain found, redo frames,
 	// torn bytes discarded.
 	Log *wal.RecoveryInfo
 	// Tables is the number of table definitions restored.
 	Tables int
-	// CheckpointRows counts rows restored from the checkpoint snapshot;
-	// ReplayedCommits and ReplayedRows count the redo work after it.
+	// CheckpointRows counts rows restored from the folded checkpoint
+	// chain; ReplayedCommits and ReplayedRows count the redo work after
+	// it.
 	CheckpointRows  int
 	ReplayedCommits int
 	ReplayedRows    int
@@ -26,30 +27,30 @@ type RecoveryReport struct {
 	HighCSN uint64
 }
 
-// Recover rebuilds a database from a log device: ARIES-style redo-only
+// Recover rebuilds a database from a segment log: ARIES-style redo-only
 // recovery over the committed row images the WAL persists. The scan
-// truncates any torn tail (repairing the device in place), the last
-// checkpoint snapshot is restored verbatim, commit frames beyond the
-// checkpoint are replayed in CSN order, unique indexes are rebuilt from
-// the recovered final state, and the CSN sequencer resumes from the
+// truncates any torn tail (repairing the log in place), the folded
+// checkpoint chain is restored verbatim, commit frames beyond its cut
+// are replayed in CSN order, unique indexes are rebuilt from the
+// recovered final state, and the CSN sequencer resumes from the
 // recovered high-water mark. cfg configures the revived instance (mode,
 // platform, cost model, faults, tracer); its WAL device is forced to
-// dev, so the revived database keeps appending to the same log.
+// log, so the revived database keeps appending to the same log.
 //
-// Recovery is idempotent: recovering the same device twice — or a
-// device and its post-repair copy — yields identical state, because the
-// first pass's only write is the torn-tail truncation.
+// Recovery is idempotent: recovering the same log twice — or a log and
+// its post-repair copy — yields identical state, because the first
+// pass's only write is the torn-tail truncation.
 //
 // Recovered versions carry Creator 0, an id no live transaction ever
 // holds (transaction ids start at 1), so own-write visibility rules
 // cannot confuse replayed rows with a resumed session's writes.
-func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
-	info, err := wal.Recover(dev)
+func Recover(log *wal.SegmentLog, cfg Config) (*DB, *RecoveryReport, error) {
+	info, err := wal.Recover(log)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	cfg.WAL.Device = dev
+	cfg.WAL.Device = log
 	db := Open(cfg)
 	report := &RecoveryReport{Log: info, HighCSN: info.HighCSN}
 
@@ -69,7 +70,7 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 		report.Tables++
 	}
 
-	// Checkpoint snapshot: install every row verbatim, preserving its
+	// Folded checkpoint chain: install every row verbatim, preserving its
 	// commit CSN so the recovered version chain matches the crashed one.
 	if info.Checkpoint != nil {
 		for _, t := range info.Checkpoint.Tables {
@@ -153,18 +154,15 @@ func Recover(dev wal.LogDevice, cfg Config) (*DB, *RecoveryReport, error) {
 	db.visibleCSN.Store(info.HighCSN)
 	db.log.ResumeDurable(info.HighCSN)
 
-	// Seed the fuzzy-checkpoint chain state: the next incremental link
-	// bases on the recovered cut (the fold's tail), extending the chain
-	// the log already holds. The retirement bound stays 0 — the root's
-	// segment index is unknown after a restart — so no segment retires
-	// until the next full link re-roots the chain.
+	// Seed the checkpoint chain state: the next incremental link bases
+	// on the recovered cut (the fold's tail), extending the chain the log
+	// already holds. The retirement bound stays 0 — the root's segment
+	// index is unknown after a restart — so no segment retires until the
+	// next full link re-roots the chain.
 	if info.Checkpoint != nil {
 		db.ckptStateMu.Lock()
 		db.chainBase = info.Checkpoint.CSN
 		db.chainLinks = info.ChainLinks
-		if db.chainLinks == 0 {
-			db.chainLinks = 1 // legacy full-image root counts as the root link
-		}
 		db.chainRootSeg = 0
 		db.ckptStateMu.Unlock()
 	}

@@ -11,6 +11,42 @@ import (
 	"sicost/internal/wal"
 )
 
+// memLog returns an empty in-memory segment log at the default segment
+// size, so a test-sized log stays in one segment.
+func memLog(t testing.TB) *wal.SegmentLog {
+	t.Helper()
+	l, err := wal.NewMemSegmentLog(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// logImage returns the concatenation of every live segment of l.
+func logImage(t testing.TB, l *wal.SegmentLog) []byte {
+	t.Helper()
+	segs, err := l.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, s := range segs {
+		all = append(all, s.Data...)
+	}
+	return all
+}
+
+// logFrom returns an in-memory segment log holding img as its only
+// segment: a captured or hand-built log image, as on the platter.
+func logFrom(t testing.TB, img []byte) *wal.SegmentLog {
+	t.Helper()
+	l, err := wal.NewMemSegmentLogFrom([]wal.SegmentData{{Data: img}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // openDurableKV builds a DB on an in-memory log device with table T
 // preloaded with (1,100) and (2,200).
 func openDurableKV(t *testing.T, dev wal.LogDevice) *DB {
@@ -56,7 +92,7 @@ func commitUpdate(t *testing.T, db *DB, k, v int64) {
 // TestRecoverWithoutCheckpoint rebuilds a never-checkpointed log: table
 // definitions come from durable DDL frames, state from pure redo.
 func TestRecoverWithoutCheckpoint(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	tx := db.Begin()
@@ -91,7 +127,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 // TestCheckpointRecoverRoundTrip checkpoints mid-history: recovery must
 // restore the snapshot and replay only the commits after the cut.
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	cut, err := db.Checkpoint()
@@ -141,7 +177,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 // TestRecoverTruncatesTornTail appends garbage to a clean log: recovery
 // must discard it, repair the device, and keep every durable commit.
 func TestRecoverTruncatesTornTail(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := openDurableKV(t, dev)
 	commitUpdate(t, db, 1, 111)
 	db.Close()
@@ -168,7 +204,7 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 // TestRecoverRebuildsIndexes recovers a table with a unique secondary
 // index and checks both lookups and the uniqueness constraint survive.
 func TestRecoverRebuildsIndexes(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := Open(Config{WAL: wal.Config{Device: dev}})
 	schema := &core.Schema{
 		Name: "U",
@@ -212,7 +248,7 @@ func TestRecoverRebuildsIndexes(t *testing.T) {
 // empty CSN slot, and leave the commit sequencer and the checkpoint
 // barrier fully operational.
 func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	reg := faultinject.New(1)
 	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg})
 	defer db.Close()
@@ -258,7 +294,7 @@ func TestWALCommitFailureDoesNotWedgeSequencer(t *testing.T) {
 // and release the checkpoint barrier while the panic unwinds to the
 // caller.
 func TestWALCommitPanicPublishesSlot(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	reg := faultinject.New(1)
 	db := Open(Config{WAL: wal.Config{Device: dev}, Faults: reg})
 	defer db.Close()
@@ -304,7 +340,7 @@ func TestWALCommitPanicPublishesSlot(t *testing.T) {
 // discovered would be replayed after a crash and resurrect the aborted
 // transaction's writes.
 func TestSSIDoomedCommitLogsNothing(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev := memLog(t)
 	db := Open(Config{Mode: core.SerializableSI, WAL: wal.Config{Device: dev}})
 	if err := db.CreateTable(kvSchema("T")); err != nil {
 		t.Fatal(err)
@@ -345,13 +381,17 @@ func TestSSIDoomedCommitLogsNothing(t *testing.T) {
 	}
 }
 
-// TestCreateTableCheckpointRace races DDL against checkpoint rewrites.
+// TestCreateTableCheckpointRace races DDL against checkpoint re-roots.
 // CreateTable holds the checkpoint barrier across the store create and
-// the DDL append; without it a checkpoint can cut between the two,
-// snapshot the store without the table, and Rewrite the log — the
-// schema frame is gone, and recovery fails on the table's commits.
+// the DDL append; without it a full link can cut between the two, embed
+// a schema set without the table, and retire the segment holding the
+// schema frame — and recovery fails on the table's commits. Small
+// segments make every re-root retire.
 func TestCreateTableCheckpointRace(t *testing.T) {
-	dev := wal.NewMemDevice()
+	dev, err := wal.NewMemSegmentLog(512)
+	if err != nil {
+		t.Fatal(err)
+	}
 	db := openDurableKV(t, dev)
 
 	stop := make(chan struct{})
@@ -388,6 +428,14 @@ func TestCreateTableCheckpointRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// A last re-root retires every segment before it, schema frames
+	// included: recovery must find each table in the link's schema set.
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.WAL().Stats().RetiredSegments == 0 {
+		t.Fatal("no checkpoint retired a segment")
+	}
 	db.Close()
 
 	db2, _, err := Recover(dev, Config{})
@@ -422,7 +470,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 		TxID: 1, CSN: 1,
 		Rows: []wal.RowImage{{Table: "T", Key: core.Int(1), Rec: core.Record{core.Int(1)}}},
 	})...)
-	if _, _, err := Recover(wal.NewMemDeviceBytes(log), Config{}); err == nil {
+	if _, _, err := Recover(logFrom(t, log), Config{}); err == nil {
 		t.Fatal("schema-mismatched row image accepted")
 	}
 
@@ -430,7 +478,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 	// decoder treats it as the torn tail, so it is never replayed.
 	log = append([]byte{}, wal.EncodeSchema(schema)...)
 	log = append(log, wal.EncodeCommit(&wal.CommitFrame{TxID: 1, CSN: 0})...)
-	db, rep, err := Recover(wal.NewMemDeviceBytes(log), Config{})
+	db, rep, err := Recover(logFrom(t, log), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +493,7 @@ func TestRecoverRejectsCorruptPayloads(t *testing.T) {
 		TxID: 1, CSN: 1,
 		Rows: []wal.RowImage{{Table: "T", Key: core.Int(2), Rec: core.Record{core.Int(1), core.Int(5)}}},
 	})...)
-	if _, _, err := Recover(wal.NewMemDeviceBytes(log), Config{}); err == nil {
+	if _, _, err := Recover(logFrom(t, log), Config{}); err == nil {
 		t.Fatal("key-mismatched row image accepted")
 	}
 }

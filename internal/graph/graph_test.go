@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -15,44 +14,56 @@ func buildDiamond() *Digraph {
 	return g
 }
 
+// numEdges counts edges through the adjacency map.
+func numEdges(g *Digraph) int {
+	n := 0
+	for _, s := range g.succ {
+		n += len(s)
+	}
+	return n
+}
+
 func TestNodesAndEdges(t *testing.T) {
 	g := buildDiamond()
-	if got := g.Nodes(); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
-		t.Fatalf("Nodes = %v", got)
+	if len(g.succ) != 4 {
+		t.Fatalf("nodes = %d, want 4", len(g.succ))
 	}
-	if got := g.Succ("a"); !reflect.DeepEqual(got, []string{"b", "c"}) {
-		t.Fatalf("Succ(a) = %v", got)
+	if !g.succ["a"]["b"] || !g.succ["a"]["c"] || g.succ["b"]["a"] {
+		t.Fatalf("successors of a = %v", g.succ["a"])
 	}
-	if g.NumEdges() != 4 {
-		t.Fatalf("NumEdges = %d", g.NumEdges())
-	}
-	if !g.HasEdge("a", "b") || g.HasEdge("b", "a") {
-		t.Fatal("HasEdge wrong")
+	if numEdges(g) != 4 {
+		t.Fatalf("edges = %d", numEdges(g))
 	}
 	g.AddEdge("a", "b") // duplicate is idempotent
-	if g.NumEdges() != 4 {
+	if numEdges(g) != 4 {
 		t.Fatal("duplicate edge counted")
 	}
 	g.AddNode("isolated")
-	if len(g.Nodes()) != 5 {
+	if len(g.succ) != 5 || len(g.succ["isolated"]) != 0 {
 		t.Fatal("AddNode failed")
+	}
+	g.AddNode("a") // re-adding keeps the edges
+	if numEdges(g) != 4 {
+		t.Fatal("AddNode on an existing node dropped its edges")
 	}
 }
 
+// TestReachability: Path is the reachability test — non-nil exactly
+// when to is reachable from from along at least one edge, so Path(x, x)
+// is non-nil only when x lies on a cycle.
 func TestReachability(t *testing.T) {
 	g := buildDiamond()
-	if !g.Reachable("a", "d") {
+	if g.Path("a", "d") == nil {
 		t.Fatal("a must reach d")
 	}
-	if g.Reachable("d", "a") {
+	if g.Path("d", "a") != nil {
 		t.Fatal("d must not reach a")
 	}
-	// Reachable(x,x) requires a cycle.
-	if g.Reachable("a", "a") {
+	if g.Path("a", "a") != nil {
 		t.Fatal("a is not on a cycle")
 	}
 	g.AddEdge("d", "a")
-	if !g.Reachable("a", "a") {
+	if g.Path("a", "a") == nil {
 		t.Fatal("a is on a cycle now")
 	}
 }
@@ -80,58 +91,19 @@ func TestPath(t *testing.T) {
 	}
 }
 
-func TestSCCs(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("c", "a") // {a,b,c}
-	g.AddEdge("c", "d")
-	g.AddEdge("d", "e")
-	g.AddEdge("e", "d") // {d,e}
-	g.AddEdge("e", "f") // f alone, no self-loop
-	g.AddEdge("g", "g") // self-loop
-
-	sccs := g.SCCs()
-	want := [][]string{{"a", "b", "c"}, {"d", "e"}, {"g"}}
-	if !reflect.DeepEqual(sccs, want) {
-		t.Fatalf("SCCs = %v, want %v", sccs, want)
-	}
-	if !g.HasCycle() {
-		t.Fatal("graph has cycles")
-	}
-	cyc := g.FindCycle()
-	if len(cyc) < 2 || cyc[0] != cyc[len(cyc)-1] {
-		t.Fatalf("FindCycle = %v", cyc)
-	}
-}
-
+// TestAcyclic: on a DAG no node lies on a cycle, so Path(x, x) is nil
+// for every node.
 func TestAcyclic(t *testing.T) {
 	g := buildDiamond()
-	if g.HasCycle() {
-		t.Fatal("diamond is acyclic")
-	}
-	if g.FindCycle() != nil {
-		t.Fatal("FindCycle on acyclic graph")
-	}
-	if len(g.SCCs()) != 0 {
-		t.Fatal("acyclic graph has no SCCs of interest")
+	for n := range g.succ {
+		if cyc := g.Path(n, n); cyc != nil {
+			t.Fatalf("Path(%s,%s) = %v on an acyclic graph", n, n, cyc)
+		}
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := buildDiamond()
-	c := g.Clone()
-	c.AddEdge("d", "a")
-	if g.HasEdge("d", "a") {
-		t.Fatal("clone aliases original")
-	}
-	if !c.HasEdge("a", "b") {
-		t.Fatal("clone lost edges")
-	}
-}
-
-// Property: FindCycle's witness is a real cycle (consecutive edges exist)
-// and HasCycle agrees with SCC non-emptiness on random graphs.
+// Property: Path(x, x) is a cycle witness — when non-nil it starts and
+// ends at x and every consecutive pair is an edge — on random graphs.
 func TestCycleWitnessProperty(t *testing.T) {
 	names := []string{"a", "b", "c", "d", "e", "f"}
 	f := func(edges []uint16) bool {
@@ -141,19 +113,18 @@ func TestCycleWitnessProperty(t *testing.T) {
 			to := names[int(e/8)%len(names)]
 			g.AddEdge(from, to)
 		}
-		cyc := g.FindCycle()
-		if (cyc != nil) != g.HasCycle() {
-			return false
-		}
-		if cyc == nil {
-			return true
-		}
-		if len(cyc) < 2 || cyc[0] != cyc[len(cyc)-1] {
-			return false
-		}
-		for i := 0; i+1 < len(cyc); i++ {
-			if !g.HasEdge(cyc[i], cyc[i+1]) {
+		for _, x := range names {
+			cyc := g.Path(x, x)
+			if cyc == nil {
+				continue
+			}
+			if len(cyc) < 2 || cyc[0] != x || cyc[len(cyc)-1] != x {
 				return false
+			}
+			for i := 0; i+1 < len(cyc); i++ {
+				if !g.succ[cyc[i]][cyc[i+1]] {
+					return false
+				}
 			}
 		}
 		return true

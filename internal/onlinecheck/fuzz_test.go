@@ -18,7 +18,7 @@ func decodeStream(data []byte) []trace.Event {
 	for i := 0; i+3 < len(data) && len(evs) < 4096; i += 4 {
 		evs = append(evs, trace.Event{
 			TS:    int64(i + 1),
-			Kind:  trace.Kind(data[i] % 20), // 16 real kinds + garbage
+			Kind:  trace.Kind(data[i] % 20), // every real kind + garbage
 			Tx:    uint64(data[i+1] % 8),
 			Table: "H",
 			Key:   core.Str(keys[data[i+2]%4]),

@@ -86,10 +86,6 @@ const (
 	// is zero; Depth is the number of commit records acknowledged and
 	// Bytes their total payload.
 	EvWALFlush
-	// EvCheckpoint: the engine wrote a checkpoint frame, truncating the
-	// log. Tx is zero; CSN is the snapshot cut and Bytes the encoded
-	// frame size.
-	EvCheckpoint
 	// EvRecovery: a database was rebuilt from a log device. Tx is zero;
 	// CSN is the recovered high-water mark, Depth the number of commit
 	// frames replayed and Bytes the valid log prefix length.
@@ -101,8 +97,7 @@ const (
 	// of the transaction's own writes, so a transaction's read-ver events
 	// are exactly its dependency-relevant read set — the reads the online
 	// checker (internal/onlinecheck) derives WR and RW edges from.
-	// Appended after the device-level kinds to keep their wire values
-	// stable; within a transaction it occurs between begin and commit.
+	// Within a transaction it occurs between begin and commit.
 	EvReadVer
 	// EvWriteVer: one committed version created by the transaction on
 	// Table/Key, CSN = the commit CSN. Emitted inside Commit after the
@@ -111,13 +106,12 @@ const (
 	// write set (a statement can fail without dooming the transaction).
 	// The write-ver events are exactly the versions the commit created.
 	EvWriteVer
-	// EvCkptBegin: a fuzzy incremental checkpoint opened its delta link.
-	// Tx is zero; CSN is the begin cut (the chain link's CSN) and Depth
-	// the number of dirty keys the link will stream. Appended after
-	// EvWriteVer to keep earlier wire values stable.
+	// EvCkptBegin: a checkpoint opened its chain link (a full re-root
+	// or a delta). Tx is zero; CSN is the begin cut (the link's CSN)
+	// and Depth the number of row images the link will stream.
 	EvCkptBegin
-	// EvCkptEnd: the delta link's end marker is durable. Tx is zero; CSN
-	// is the cut, Depth the chain length including this link, Bytes the
+	// EvCkptEnd: the link's end marker is durable. Tx is zero; CSN is
+	// the cut, Depth the chain length including this link, Bytes the
 	// total encoded size of the link's frames.
 	EvCkptEnd
 
@@ -129,7 +123,7 @@ const (
 var kindNames = [numKinds]string{
 	"begin", "snapshot", "read", "write", "sfu",
 	"lock-wait", "lock-wake", "conflict", "abort", "commit",
-	"wal-commit", "wal-flush", "checkpoint", "recovery",
+	"wal-commit", "wal-flush", "recovery",
 	"read-ver", "write-ver", "ckpt-begin", "ckpt-end",
 }
 

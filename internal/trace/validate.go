@@ -72,7 +72,7 @@ func ValidateWith(events []Event, opts ValidateOptions) error {
 				return fmt.Errorf("event %d (conflict): unknown conflict cause %d", i, ev.Reason)
 			}
 		}
-		if ev.Kind == EvWALFlush || ev.Kind == EvCheckpoint || ev.Kind == EvRecovery ||
+		if ev.Kind == EvWALFlush || ev.Kind == EvRecovery ||
 			ev.Kind == EvCkptBegin || ev.Kind == EvCkptEnd {
 			continue // device-level: not transaction-scoped
 		}

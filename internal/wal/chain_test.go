@@ -191,47 +191,3 @@ func TestFoldChainDropsOrphansAndRowCountMismatch(t *testing.T) {
 		t.Fatalf("mismatched link's tombstone applied: %+v", info.Checkpoint.Tables[0].Rows)
 	}
 }
-
-// TestFoldChainExtendsLegacyCheckpoint pins upgrade compatibility: a
-// delta link may base on a legacy full-image Checkpoint frame's cut, so
-// a log written by the STW checkpointer keeps folding after the engine
-// switches to incremental links.
-func TestFoldChainExtendsLegacyCheckpoint(t *testing.T) {
-	s := testSchema()
-	rec := func(k int64, v string) core.Record { return core.Record{core.Int(k), core.Str(v)} }
-	var log []byte
-	log = append(log, EncodeCheckpoint(&Checkpoint{
-		CSN: 5,
-		Tables: []CheckpointTable{{
-			Schema: s,
-			Rows: []CheckpointRow{
-				{Key: core.Int(1), CSN: 4, Rec: rec(1, "a")},
-				{Key: core.Int(2), CSN: 5, Rec: rec(2, "b")},
-			},
-		}},
-	})...)
-	log = append(log, commitFrameBytes(6)...)
-	log = append(log, deltaLink(5, 6, []core.Schema{s}, []DeltaRow{
-		{Table: "T", Key: core.Int(2)},
-	})...)
-
-	info := Classify(log)
-	if info.Checkpoint.CSN != 6 || info.ChainLinks != 1 {
-		t.Fatalf("legacy root not extended: %+v links %d", info.Checkpoint, info.ChainLinks)
-	}
-	rows := info.Checkpoint.Tables[0].Rows
-	if len(rows) != 1 || rows[0].Key != core.Int(1) {
-		t.Fatalf("fold over legacy root: %+v, want row 1 only", rows)
-	}
-	// A later full link re-roots and supersedes the legacy base entirely.
-	log = append(log, deltaLink(0, 9, []core.Schema{s}, []DeltaRow{
-		{Table: "T", Key: core.Int(3), CSN: 9, Rec: rec(3, "c")},
-	})...)
-	info = Classify(log)
-	if info.Checkpoint.CSN != 9 || info.ChainLinks != 1 {
-		t.Fatalf("full link did not re-root: %+v links %d", info.Checkpoint, info.ChainLinks)
-	}
-	if rows := info.Checkpoint.Tables[0].Rows; len(rows) != 1 || rows[0].Key != core.Int(3) {
-		t.Fatalf("re-rooted fold kept stale rows: %+v", rows)
-	}
-}

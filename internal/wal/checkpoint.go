@@ -7,52 +7,12 @@ import (
 	"sicost/internal/storage"
 )
 
-// Snapshot serializes the committed state of store as of cut into a
-// checkpoint: for every table, its schema and every live row's newest
-// committed version with csn <= cut. Tombstoned rows are simply absent.
-//
-// The caller must guarantee the cut is stable: no commit may be
-// stamping versions in the (allocCSNEnqueue, publishCSN) window while the
-// snapshot runs (engine.DB.Checkpoint holds the commit barrier for
-// exactly this). Versions newer than cut — uncommitted heads from
-// in-flight writers — are skipped, so concurrent reads and writes that
-// have not reached their commit point do not perturb the snapshot.
-func Snapshot(store *storage.Store, cut uint64) *Checkpoint {
-	ckpt := &Checkpoint{CSN: cut}
-	for _, name := range store.TableNames() {
-		t, err := store.Table(name)
-		if err != nil {
-			continue // racing DDL; the table is not part of this cut
-		}
-		ct := CheckpointTable{Schema: *t.Schema()}
-		for _, k := range t.Keys() {
-			row := t.Row(k)
-			if row == nil {
-				continue
-			}
-			var v *storage.Version
-			for c := row.Head(); c != nil; c = c.Prev {
-				if csn := c.CSN(); csn != 0 && csn <= cut {
-					v = c
-					break
-				}
-			}
-			if v == nil || v.Rec == nil {
-				continue
-			}
-			ct.Rows = append(ct.Rows, CheckpointRow{Key: k, CSN: v.CSN(), Rec: v.Rec})
-		}
-		ckpt.Tables = append(ckpt.Tables, ct)
-	}
-	return ckpt
-}
-
 // SnapshotDelta resolves the after-image of every dirty key as of cut:
 // the newest committed version with csn <= cut, or a tombstone when the
-// key was deleted (or never live) at the cut. Unlike Snapshot it does
-// NOT need the commit barrier while it runs — versions with csn <= cut
-// are immutable once published, so commits stamping newer versions
-// concurrently never perturb the result. The caller guarantees only
+// key was deleted (or never live) at the cut. It does NOT need the
+// commit barrier while it runs — versions with csn <= cut are immutable
+// once published, so commits stamping newer versions concurrently never
+// perturb the result. The caller guarantees only
 // that the dirty set was drained under the barrier at cut (every
 // commit <= cut has marked its keys; keys dirtied by later commits
 // belong to the next epoch).
@@ -135,22 +95,4 @@ func Schemas(store *storage.Store) []core.Schema {
 		out = append(out, *t.Schema())
 	}
 	return out
-}
-
-// Checkpointer couples a WAL with the snapshot procedure: Run captures
-// store at cut and writes the result as the log's new truncation point
-// (the device is rewritten to the single checkpoint frame, bounding
-// replay cost to the commits after it).
-type Checkpointer struct {
-	Log *WAL
-}
-
-// Run snapshots store at cut and installs the checkpoint. It returns
-// the serialized checkpoint for inspection.
-func (c *Checkpointer) Run(store *storage.Store, cut uint64) (*Checkpoint, error) {
-	ckpt := Snapshot(store, cut)
-	if err := c.Log.WriteCheckpoint(ckpt); err != nil {
-		return nil, err
-	}
-	return ckpt, nil
 }

@@ -14,14 +14,14 @@ import (
 // flight when the gate closes the loop, and everything enqueued while
 // it is blocked lands in window 2.
 type gateDevice struct {
-	MemDevice
+	*SegmentLog
 	entered chan struct{} // closed when the first Append begins
 	release chan struct{} // the first Append blocks until this closes
 	first   sync.Once
 }
 
-func newGateDevice() *gateDevice {
-	return &gateDevice{entered: make(chan struct{}), release: make(chan struct{})}
+func newGateDevice(t *testing.T) *gateDevice {
+	return &gateDevice{SegmentLog: memLog(t), entered: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (d *gateDevice) Append(b []byte) error {
@@ -29,7 +29,7 @@ func (d *gateDevice) Append(b []byte) error {
 		close(d.entered)
 		<-d.release
 	})
-	return d.MemDevice.Append(b)
+	return d.SegmentLog.Append(b)
 }
 
 func enq(t *testing.T, w *WAL, csn uint64) <-chan error {
@@ -48,7 +48,7 @@ func enq(t *testing.T, w *WAL, csn uint64) <-chan error {
 // window of many MaxBatch-sized flush groups is covered by ONE device
 // sync, so CommitsPerSync exceeds the per-group batch bound.
 func TestCoalescedWindowOneSyncManyGroups(t *testing.T) {
-	dev := newGateDevice()
+	dev := newGateDevice(t)
 	w := New(Config{Device: dev, MaxBatch: 2})
 	defer w.Close()
 
@@ -88,7 +88,7 @@ func TestCoalescedWindowOneSyncManyGroups(t *testing.T) {
 // TestSyncEveryGroupBaseline pins the ablation baseline: with
 // SyncEveryGroup, every flush group pays its own sync.
 func TestSyncEveryGroupBaseline(t *testing.T) {
-	dev := newGateDevice()
+	dev := newGateDevice(t)
 	w := New(Config{Device: dev, MaxBatch: 2, SyncEveryGroup: true})
 	defer w.Close()
 
@@ -119,7 +119,7 @@ func TestSyncEveryGroupBaseline(t *testing.T) {
 // (The old accounting charged the group's bytes before the device write
 // and again when the remaining groups' sync landed.)
 func TestFailedGroupCountsOnceInWindow(t *testing.T) {
-	dev := newGateDevice()
+	dev := newGateDevice(t)
 	w := New(Config{Device: dev, MaxBatch: 2})
 	reg := faultinject.New(11)
 	w.SetFaults(reg)
@@ -170,7 +170,7 @@ func TestFailedGroupCountsOnceInWindow(t *testing.T) {
 	if w.Broken() != nil {
 		t.Fatalf("transient group failure bricked the WAL: %v", w.Broken())
 	}
-	b, _ := dev.Contents()
+	b := logBytes(t, dev.SegmentLog)
 	frames, valid := ScanLog(b)
 	if valid != len(b) || len(frames) != 5 {
 		t.Fatalf("device: %d frames, %d/%d valid — want the 5 acked commits", len(frames), valid, len(b))
@@ -194,7 +194,7 @@ func TestFailedGroupCountsOnceInWindow(t *testing.T) {
 // append — no record of the window is acknowledged or durable — and the
 // WAL bricks.
 func TestSyncCrashLosesWholeWindow(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev})
 	reg := faultinject.New(13)
 	w.SetFaults(reg)
@@ -234,12 +234,13 @@ func TestSyncCrashLosesWholeWindow(t *testing.T) {
 // brick so the engine knows the published state is no longer
 // recoverable.
 func TestAsyncRecordFailureBricks(t *testing.T) {
-	dev := NewMemDevice()
-	w := New(Config{Device: dev})
+	w := New(Config{Device: memLog(t)})
+	reg := faultinject.New(17)
+	w.SetFaults(reg)
 	defer w.Close()
 
 	boom := errors.New("late disk death")
-	w.InjectFailure(boom)
+	failFlushes(t, reg, boom)
 	done, err := w.Enqueue(&Record{TxID: 100, CSN: 1, Async: true,
 		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
 	if err != nil {
@@ -253,9 +254,9 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 	}
 	// Sync records failing the same way do NOT brick: their committer
 	// aborts instead.
-	w2 := New(Config{Device: NewMemDevice()})
+	w2 := New(Config{Device: memLog(t)})
+	w2.SetFaults(reg)
 	defer w2.Close()
-	w2.InjectFailure(boom)
 	done2, err := w2.Enqueue(&Record{TxID: 101, CSN: 1,
 		Rows: []RowImage{{Table: "t", Key: core.Int(1), Rec: core.Record{core.Int(1)}}}})
 	if err != nil {
@@ -274,8 +275,7 @@ func TestAsyncRecordFailureBricks(t *testing.T) {
 // its record resolves, and a closed WAL releases waiters with
 // ErrWALClosed.
 func TestWaitDurableCSN(t *testing.T) {
-	dev := NewMemDevice()
-	w := New(Config{Device: dev})
+	w := New(Config{Device: memLog(t)})
 
 	if err := durableCommit(w, 1); err != nil {
 		t.Fatal(err)

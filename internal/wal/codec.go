@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -17,18 +18,29 @@ import (
 // frame whose header overruns the log, whose checksum mismatches, or
 // whose body fails to decode marks the torn tail: recovery keeps the
 // valid prefix and discards everything from that offset on.
+//
+// Type 2 is reserved: it was the legacy full-image checkpoint frame,
+// written as the first frame of a log truncated by a stop-the-world
+// checkpoint. Checkpoints are now chain links only, so no build writes
+// it; a checksummed type-2 frame decodes to ErrLegacyCheckpoint, which
+// recovery reports instead of truncating the whole log as torn.
 const (
 	frameHeaderSize = 8
 
-	frameCommit     = 1
-	frameCheckpoint = 2
-	frameSchema     = 3
-	frameDeltaBegin = 4
-	frameDeltaRows  = 5
-	frameDeltaEnd   = 6
+	frameCommit           = 1
+	frameLegacyCheckpoint = 2
+	frameSchema           = 3
+	frameDeltaBegin       = 4
+	frameDeltaRows        = 5
+	frameDeltaEnd         = 6
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrLegacyCheckpoint reports a legacy full-image checkpoint frame
+// (type 2): the log predates chain-only checkpoints, and this build
+// cannot fold it. Recovery fails with it and writes nothing.
+var ErrLegacyCheckpoint = errors.New("wal: legacy full-image checkpoint frame (type 2): the log predates chain-only checkpoints")
 
 // RowImage is the after-image of one row written by a committed
 // transaction. Rec == nil encodes a tombstone (the commit deleted the
@@ -65,8 +77,9 @@ type CheckpointTable struct {
 }
 
 // Checkpoint is a point-in-time-consistent snapshot of the database at
-// CSN: every commit with csn <= CSN is included, none after. It embeds
-// all schemas, so a checkpointed log is self-contained.
+// CSN: every commit with csn <= CSN is included, none after. Recovery
+// produces it by folding the checkpoint chain; it embeds all schemas,
+// so a chain rooted at a full link is self-contained.
 type Checkpoint struct {
 	CSN    uint64
 	Tables []CheckpointTable
@@ -78,7 +91,7 @@ type Checkpoint struct {
 // builds on; Base == 0 marks a *full* link (the chain root: every live
 // key is streamed, so no older log bytes are needed to fold it). The
 // begin marker embeds all table schemas as of the cut, making a chain
-// rooted at a full link self-contained the way a Checkpoint frame is.
+// rooted at a full link self-contained.
 type DeltaBegin struct {
 	CSN     uint64
 	Base    uint64
@@ -119,7 +132,6 @@ type DeltaEnd struct {
 // Frame is one decoded log frame; exactly one field is non-nil.
 type Frame struct {
 	Commit     *CommitFrame
-	Checkpoint *Checkpoint
 	Schema     *core.Schema
 	DeltaBegin *DeltaBegin
 	DeltaRows  *DeltaRows
@@ -196,24 +208,6 @@ func EncodeCommit(c *CommitFrame) []byte {
 			p = append(p, 0)
 		} else {
 			p = append(p, 1)
-			p = appendRecord(p, r.Rec)
-		}
-	}
-	return frame(p)
-}
-
-// EncodeCheckpoint renders a checkpoint frame, header included.
-func EncodeCheckpoint(c *Checkpoint) []byte {
-	p := []byte{frameCheckpoint}
-	p = appendU64(p, c.CSN)
-	p = appendU32(p, uint32(len(c.Tables)))
-	for i := range c.Tables {
-		t := &c.Tables[i]
-		p = appendSchema(p, &t.Schema)
-		p = appendU32(p, uint32(len(t.Rows)))
-		for _, r := range t.Rows {
-			p = appendValue(p, r.Key)
-			p = appendU64(p, r.CSN)
 			p = appendRecord(p, r.Rec)
 		}
 	}
@@ -454,43 +448,6 @@ func (r *reader) commitFrame() (*CommitFrame, error) {
 	return c, nil
 }
 
-func (r *reader) checkpointFrame() (*Checkpoint, error) {
-	c := &Checkpoint{}
-	var err error
-	if c.CSN, err = r.u64(); err != nil {
-		return nil, err
-	}
-	ntables, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < ntables; i++ {
-		var t CheckpointTable
-		if t.Schema, err = r.schema(); err != nil {
-			return nil, err
-		}
-		nrows, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		for j := uint32(0); j < nrows; j++ {
-			var row CheckpointRow
-			if row.Key, err = r.value(); err != nil {
-				return nil, err
-			}
-			if row.CSN, err = r.u64(); err != nil {
-				return nil, err
-			}
-			if row.Rec, err = r.record(); err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		c.Tables = append(c.Tables, t)
-	}
-	return c, nil
-}
-
 func (r *reader) deltaBeginFrame() (*DeltaBegin, error) {
 	d := &DeltaBegin{}
 	var err error
@@ -599,8 +556,8 @@ func DecodeFrameAt(b []byte, off int) (Frame, int, error) {
 	switch payload[0] {
 	case frameCommit:
 		f.Commit, err = r.commitFrame()
-	case frameCheckpoint:
-		f.Checkpoint, err = r.checkpointFrame()
+	case frameLegacyCheckpoint:
+		return Frame{}, 0, fmt.Errorf("wal: frame at %d: %w", off, ErrLegacyCheckpoint)
 	case frameSchema:
 		var s core.Schema
 		s, err = r.schema()

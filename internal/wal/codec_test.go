@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -62,32 +63,20 @@ func TestCommitFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	in := &Checkpoint{
-		CSN: 17,
-		Tables: []CheckpointTable{{
-			Schema: testSchema(),
-			Rows: []CheckpointRow{
-				{Key: core.Int(1), CSN: 5, Rec: core.Record{core.Int(1), core.Str("a")}},
-				{Key: core.Int(2), CSN: 17, Rec: core.Record{core.Int(2), core.Str("b")}},
-			},
-		}},
-	}
-	f := mustDecodeOne(t, EncodeCheckpoint(in))
-	out := f.Checkpoint
-	if out == nil {
-		t.Fatal("decoded frame is not a checkpoint")
-	}
-	if out.CSN != 17 || len(out.Tables) != 1 {
-		t.Fatalf("checkpoint header: %+v", out)
-	}
-	tb := out.Tables[0]
-	if tb.Schema.Name != "T" || len(tb.Schema.Columns) != 2 || tb.Schema.PK != 0 ||
-		len(tb.Schema.Unique) != 1 || tb.Schema.Unique[0] != 1 {
-		t.Fatalf("schema round-trip: %+v", tb.Schema)
-	}
-	if len(tb.Rows) != 2 || tb.Rows[0].CSN != 5 || !tb.Rows[1].Rec.Equal(in.Tables[0].Rows[1].Rec) {
-		t.Fatalf("rows round-trip: %+v", tb.Rows)
+// legacyCheckpointFrame hand-builds a legacy full-image checkpoint
+// frame (type 2, cut 5, no tables) — the first frame of a log truncated
+// by the stop-the-world checkpointer of older builds.
+func legacyCheckpointFrame() []byte {
+	payload := []byte{frameLegacyCheckpoint}
+	payload = appendU64(payload, 5)
+	payload = appendU32(payload, 0)
+	return frame(payload)
+}
+
+func TestLegacyCheckpointFrameRejected(t *testing.T) {
+	_, _, err := DecodeFrameAt(legacyCheckpointFrame(), 0)
+	if !errors.Is(err, ErrLegacyCheckpoint) {
+		t.Fatalf("decode of a type-2 frame = %v, want ErrLegacyCheckpoint", err)
 	}
 }
 

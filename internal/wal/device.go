@@ -1,18 +1,15 @@
 package wal
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
-)
+import "os"
 
-// LogDevice is the pluggable durable medium behind the WAL. The paper's
-// testbed puts the log on a dedicated disk with the write cache
-// disabled; here the device is either an in-memory byte log (tests and
-// the crash-chaos harness, which simulates process death and torn
-// writes), a real file (cmd/smallbank -wal), or a segmented directory
-// of wal.000N files (SegmentLog).
+// LogDevice is the durable medium behind the WAL. The paper's testbed
+// puts the log on a dedicated disk with the write cache disabled; here
+// that disk is a SegmentLog — a directory of wal.000N files, or the
+// same layout in memory for tests and the crash-chaos harness. The
+// interface exists so a caller can wrap the segment log (for example to
+// time each device call); the checkpoint chain's segment retirement and
+// the simulated crashes need the *SegmentLog itself and are skipped
+// behind a wrapper.
 //
 // A device carries no framing knowledge: it stores the byte stream the
 // WAL appends. A crash may leave the final append incomplete — the
@@ -22,8 +19,7 @@ import (
 // the tail (the OS page cache), Sync is the fdatasync-equivalent that
 // makes every prior Append durable. The flush loop exploits the split
 // to coalesce many flush groups into one device sync; nothing is
-// acknowledged to a committer until the Sync covering its append
-// returns.
+// acknowledged to a committer until a Sync covering its append returns.
 type LogDevice interface {
 	// Append adds b to the end of the log. The bytes are buffered, not
 	// yet durable: a crash before the next Sync may lose any suffix of
@@ -34,200 +30,10 @@ type LogDevice interface {
 	// the durability promise of everything since the last successful
 	// Sync (the fsyncgate lesson) — the WAL bricks itself on it.
 	Sync() error
-	// Contents returns the entire log. The returned slice must not be
-	// mutated by the caller.
-	Contents() ([]byte, error)
-	// Rewrite atomically replaces the whole log with b and makes the
-	// replacement durable. Checkpoint truncation and torn-tail repair
-	// use it.
-	Rewrite(b []byte) error
-	// Size returns the current log length in bytes.
-	Size() int64
 }
 
-// VolatileDevice is implemented by devices that model the synced/
-// unsynced distinction explicitly and can simulate a power failure
-// dropping the page cache. The WAL calls DropUnsynced when an injected
-// crash lands between an Append and its covering Sync, so the simulated
-// platter holds exactly what a real one would.
-type VolatileDevice interface {
-	// DropUnsynced discards every byte appended since the last Sync,
-	// returning how many were lost.
-	DropUnsynced() (int64, error)
-}
-
-// MemDevice is an in-memory LogDevice for tests and the crash-chaos
-// harness. It is safe for concurrent use and tracks the synced prefix,
-// so DropUnsynced can simulate losing the page cache.
-type MemDevice struct {
-	mu     sync.Mutex
-	buf    []byte
-	synced int64
-}
-
-// NewMemDevice returns an empty in-memory log device.
-func NewMemDevice() *MemDevice { return &MemDevice{} }
-
-// NewMemDeviceBytes returns an in-memory device pre-loaded with b (a
-// captured log image, e.g. the fuzz target's corpus input). The preload
-// counts as synced: a captured image is by definition on the platter.
-func NewMemDeviceBytes(b []byte) *MemDevice {
-	buf := append([]byte(nil), b...)
-	return &MemDevice{buf: buf, synced: int64(len(buf))}
-}
-
-// Append implements LogDevice.
-func (d *MemDevice) Append(b []byte) error {
-	d.mu.Lock()
-	d.buf = append(d.buf, b...)
-	d.mu.Unlock()
-	return nil
-}
-
-// Sync implements LogDevice.
-func (d *MemDevice) Sync() error {
-	d.mu.Lock()
-	d.synced = int64(len(d.buf))
-	d.mu.Unlock()
-	return nil
-}
-
-// DropUnsynced implements VolatileDevice.
-func (d *MemDevice) DropUnsynced() (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dropped := int64(len(d.buf)) - d.synced
-	d.buf = d.buf[:d.synced]
-	return dropped, nil
-}
-
-// Contents implements LogDevice.
-func (d *MemDevice) Contents() ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]byte(nil), d.buf...), nil
-}
-
-// Rewrite implements LogDevice. The replacement is atomic and durable.
-func (d *MemDevice) Rewrite(b []byte) error {
-	d.mu.Lock()
-	d.buf = append(d.buf[:0:0], b...)
-	d.synced = int64(len(d.buf))
-	d.mu.Unlock()
-	return nil
-}
-
-// Size implements LogDevice.
-func (d *MemDevice) Size() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int64(len(d.buf))
-}
-
-// FileDevice is a LogDevice backed by one append-only file. Append
-// writes at the tail without syncing; Sync is the fdatasync that makes
-// the tail durable — the flush loop issues one Sync per coalesced
-// window, which is the "write cache disabled" discipline of the paper's
-// log disk without paying it per flush group. cmd/smallbank -wal uses
-// it.
-type FileDevice struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	size int64
-}
-
-// OpenFileDevice opens (creating if absent) the log file at path.
-func OpenFileDevice(path string) (*FileDevice, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &FileDevice{path: path, f: f, size: st.Size()}, nil
-}
-
-// Append implements LogDevice: write at the tail, durability deferred
-// to the next Sync.
-func (d *FileDevice) Append(b []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n, err := d.f.WriteAt(b, d.size)
-	d.size += int64(n)
-	if err != nil {
-		return fmt.Errorf("wal: file append: %w", err)
-	}
-	return nil
-}
-
-// Sync implements LogDevice.
-func (d *FileDevice) Sync() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.f.Sync(); err != nil {
-		return fmt.Errorf("wal: file sync: %w", err)
-	}
-	return nil
-}
-
-// Contents implements LogDevice.
-func (d *FileDevice) Contents() ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	buf := make([]byte, d.size)
-	if _, err := d.f.ReadAt(buf, 0); err != nil {
-		return nil, fmt.Errorf("wal: file read: %w", err)
-	}
-	return buf, nil
-}
-
-// Rewrite implements LogDevice. The replacement must be atomic — a
-// checkpoint that truncated in place and crashed mid-write would leave
-// an empty or partial log, which the torn-tail rule would "recover" to
-// an empty database. So the new image goes to a temp file in the log's
-// directory, is fsynced, renamed over the log path (atomic on POSIX),
-// and the directory is fsynced to make the rename itself durable; a
-// crash at any point leaves either the old complete log or the new one.
-func (d *FileDevice) Rewrite(b []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dir := filepath.Dir(d.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(d.path)+".rewrite-*")
-	if err != nil {
-		return fmt.Errorf("wal: file rewrite: %w", err)
-	}
-	tmpPath := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("wal: file rewrite: %w", err)
-	}
-	if _, err := tmp.Write(b); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmpPath, d.path); err != nil {
-		return fail(err)
-	}
-	if err := syncDir(dir); err != nil {
-		tmp.Close()
-		return fmt.Errorf("wal: file rewrite: %w", err)
-	}
-	// tmp's descriptor now names the file at d.path; it becomes the
-	// device's handle and the old (unlinked) one is released.
-	d.f.Close()
-	d.f = tmp
-	d.size = int64(len(b))
-	return nil
-}
-
-// syncDir fsyncs a directory, making a rename inside it durable.
+// syncDir fsyncs a directory, making a create, rename or unlink inside
+// it durable.
 func syncDir(dir string) error {
 	df, err := os.Open(dir)
 	if err != nil {
@@ -235,18 +41,4 @@ func syncDir(dir string) error {
 	}
 	defer df.Close()
 	return df.Sync()
-}
-
-// Size implements LogDevice.
-func (d *FileDevice) Size() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.size
-}
-
-// Close releases the underlying file.
-func (d *FileDevice) Close() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.f.Close()
 }

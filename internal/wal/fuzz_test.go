@@ -1,6 +1,8 @@
 package wal_test
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"sicost/internal/core"
@@ -29,16 +31,19 @@ func FuzzRecoverLog(f *testing.F) {
 		PK: 0,
 	}
 	f.Add(wal.EncodeSchema(&schema))
-	f.Add(wal.EncodeCheckpoint(&wal.Checkpoint{
-		CSN: 2,
-		Tables: []wal.CheckpointTable{{
-			Schema: schema,
-			Rows:   []wal.CheckpointRow{{Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(9)}}},
-		}},
-	}))
+	// A full chain link: begin marker, one rows batch, end marker.
+	root := wal.EncodeDeltaBegin(&wal.DeltaBegin{CSN: 2, Schemas: []core.Schema{schema}})
+	root = append(root, wal.EncodeDeltaRows(&wal.DeltaRows{CSN: 2,
+		Rows: []wal.DeltaRow{{Table: "t", Key: core.Int(1), CSN: 2, Rec: core.Record{core.Int(1), core.Int(9)}}}})...)
+	f.Add(append(root, wal.EncodeDeltaEnd(&wal.DeltaEnd{CSN: 2, Rows: 1})...))
 	// A valid log with a torn tail.
 	torn := append(wal.EncodeSchema(&schema), wal.EncodeCommit(&wal.CommitFrame{TxID: 1, CSN: 1})...)
 	f.Add(torn[:len(torn)-3])
+	// A legacy full-image checkpoint frame (type 2, cut 2, no tables).
+	legacy := []byte{2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(legacy)))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(legacy, crc32.MakeTable(crc32.Castagnoli)))
+	f.Add(append(hdr, legacy...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info := wal.Classify(data)
@@ -52,7 +57,11 @@ func FuzzRecoverLog(f *testing.F) {
 		// image as corrupt (CSN 0, schema/record mismatch, duplicate
 		// index values...), but a log that classifies must either open
 		// or error.
-		db, _, err := engine.Recover(wal.NewMemDeviceBytes(data), engine.Config{})
+		log, err := wal.NewMemSegmentLogFrom([]wal.SegmentData{{Data: data}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, _, err := engine.Recover(log, engine.Config{})
 		if err == nil {
 			db.Close()
 		}

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -11,94 +12,65 @@ import (
 // snapshot to start from, the redo work after it, and what the scan
 // discarded.
 type RecoveryInfo struct {
-	// Checkpoint is the snapshot to restore: the last full-image
-	// checkpoint frame in the valid prefix, or — when a fuzzy checkpoint
-	// chain is present — the synthetic checkpoint produced by folding
-	// the chain (root image plus every complete delta link in order).
-	// Nil when the log has never been checkpointed.
+	// Checkpoint is the snapshot to restore: the checkpoint chain
+	// folded into one image (the full root link plus every complete
+	// delta link in order). Nil when the log holds no complete full
+	// link.
 	Checkpoint *Checkpoint
-	// ChainLinks is the number of complete delta links folded into
-	// Checkpoint: 0 for a legacy full-image checkpoint (or none at
-	// all). A torn or incomplete final link is not counted — recovery
-	// falls back to the chain state before it.
+	// ChainLinks is the number of complete links folded into
+	// Checkpoint, root included (0 when Checkpoint is nil). A torn or
+	// incomplete final link is not counted — recovery falls back to the
+	// chain state before it.
 	ChainLinks int
 	// Schemas are the table definitions in effect: every schema frame
 	// in the valid prefix, deduplicated by table name (last wins),
 	// merged with the schemas embedded in the checkpoint.
 	Schemas []core.Schema
 	// Commits are the redo records to replay: every commit frame whose
-	// CSN is beyond the checkpoint, sorted by CSN. The commit-barrier
-	// checkpoint protocol (see engine.DB.Checkpoint) guarantees no
-	// commit before the checkpoint frame carries a CSN above the cut,
-	// so CSN filtering and log-position filtering agree.
+	// CSN is beyond the checkpoint, sorted by CSN. Each link's begin
+	// marker is appended under the engine's commit barrier, so no commit
+	// before it carries a CSN above its cut, and CSN filtering and
+	// log-position filtering agree.
 	Commits []*CommitFrame
 	// HighCSN is the recovered commit-sequence high-water mark; the
 	// restarted sequencer continues from HighCSN+1.
 	HighCSN uint64
-	// Frames counts all valid frames scanned (checkpoint + schema +
-	// commit, including pre-checkpoint commits in an untruncated log).
+	// Frames counts all valid frames scanned (chain links, schemas and
+	// commits, including commits the chain already covers).
 	Frames int
 	// ValidBytes is the length of the valid prefix; TornBytes is what
 	// the torn-tail rule discarded (0 for a clean log).
 	ValidBytes int
 	TornBytes  int
-	// Repaired reports that the device was rewritten to the valid
-	// prefix, so a second recovery sees a clean log.
+	// Repaired reports that the log was truncated to the valid prefix,
+	// so a second recovery sees a clean log.
 	Repaired bool
-	// Segments is the number of live segments scanned (0 for a flat,
-	// unsegmented device).
+	// Segments is the number of live segments scanned.
 	Segments int
 }
 
-// Recover scans dev, applies the torn-tail rule, and — when a torn or
-// corrupt tail was found — repairs the device by rewriting it to the
-// valid prefix, so recovery is idempotent at the byte level too. It
-// performs no database reconstruction; engine.Recover layers that on
-// top.
-func Recover(dev LogDevice) (*RecoveryInfo, error) {
-	if seg, ok := dev.(Segmented); ok {
-		segs, err := seg.Segments()
-		if err != nil {
-			return nil, fmt.Errorf("wal: recover: %w", err)
-		}
-		info, err := ClassifySegments(segs)
-		if err != nil {
-			return nil, fmt.Errorf("wal: recover: %w", err)
-		}
-		if info.TornBytes > 0 {
-			if err := repairTail(dev, int64(info.ValidBytes)); err != nil {
-				return nil, fmt.Errorf("wal: recover: torn-tail repair: %w", err)
-			}
-			info.Repaired = true
-		}
-		return info, nil
-	}
-	b, err := dev.Contents()
+// Recover scans the log, applies the torn-tail rule, and — when a torn
+// or corrupt tail was found — truncates the log to the valid prefix, so
+// recovery is idempotent at the byte level too. A log that starts with a
+// legacy full-image checkpoint frame fails with ErrLegacyCheckpoint and
+// is left untouched. Recover performs no database reconstruction;
+// engine.Recover layers that on top.
+func Recover(l *SegmentLog) (*RecoveryInfo, error) {
+	segs, err := l.Segments()
 	if err != nil {
 		return nil, fmt.Errorf("wal: recover: %w", err)
 	}
-	info := Classify(b)
+	info, err := ClassifySegments(segs)
+	if err != nil {
+		return nil, fmt.Errorf("wal: recover: %w", err)
+	}
 	if info.TornBytes > 0 {
-		if err := repairTail(dev, int64(info.ValidBytes)); err != nil {
+		if err := l.TruncateTail(int64(info.ValidBytes)); err != nil {
 			return nil, fmt.Errorf("wal: recover: torn-tail repair: %w", err)
 		}
 		info.Repaired = true
 	}
 	return info, nil
-}
-
-// repairTail truncates the device to the valid prefix, preferring the
-// in-place TailTruncator (segmented logs drop tail segments and trim
-// one file) over a whole-log Rewrite.
-func repairTail(dev LogDevice, valid int64) error {
-	if tt, ok := dev.(TailTruncator); ok {
-		return tt.TruncateTail(valid)
-	}
-	b, err := dev.Contents()
-	if err != nil {
-		return err
-	}
-	return dev.Rewrite(b[:valid])
 }
 
 // ClassifySegments validates a segmented log layout and classifies the
@@ -110,7 +82,9 @@ func repairTail(dev LogDevice, valid int64) error {
 // concatenation — because rotation seals segments between appends, not
 // mid-frame; a torn frame in a *sealed* segment could only come from
 // bit rot or truncation of supposedly immutable data, so it is rejected
-// rather than repaired.
+// rather than repaired. A legacy checkpoint frame where the valid prefix
+// ends is rejected with ErrLegacyCheckpoint: to the torn-tail rule it
+// would look like garbage, and repairing it away would empty the log.
 func ClassifySegments(segs []SegmentData) (*RecoveryInfo, error) {
 	if len(segs) == 0 {
 		info := Classify(nil)
@@ -136,6 +110,11 @@ func ClassifySegments(segs []SegmentData) (*RecoveryInfo, error) {
 		all = append(all, s.Data...)
 	}
 	info := Classify(all)
+	if info.TornBytes > 0 {
+		if _, _, err := DecodeFrameAt(all, info.ValidBytes); errors.Is(err, ErrLegacyCheckpoint) {
+			return nil, err
+		}
+	}
 	if info.TornBytes > 0 && info.ValidBytes < lastStart {
 		return nil, fmt.Errorf("wal: corrupt frame in sealed segment %s (valid prefix %d ends before final segment at %d)",
 			SegmentName(sorted[torn(sorted, info.ValidBytes)].Index), info.ValidBytes, lastStart)
@@ -151,42 +130,26 @@ type chainLink struct {
 	rows  []DeltaRow
 }
 
-// foldChain reduces the frame stream's checkpoint structure to one
+// foldChain reduces the frame stream's checkpoint chain to one
 // synthetic full checkpoint. The scan keeps a running chain — a root
-// (either a legacy full-image Checkpoint frame or a complete delta link
-// with Base == 0) plus complete delta links each based on the previous
-// cut — and a pending link between a begin marker and its end marker.
-// A link is complete only when its end marker matches the open begin's
-// cut AND its row count; anything else (torn tail inside the link, a
-// new begin abandoning the old, a mismatched orphan) discards the
-// pending link, so recovery falls back to the chain state before it —
-// never a partial fold. Rows batches bind to the pending link by cut;
-// unbound batches are ignored (fuzz inputs; a healthy engine never
-// interleaves links).
+// (a complete link with Base == 0) plus complete delta links each based
+// on the previous cut — and a pending link between a begin marker and
+// its end marker. A link is complete only when its end marker matches
+// the open begin's cut AND its row count; anything else (torn tail
+// inside the link, a new begin abandoning the old, a mismatched orphan)
+// discards the pending link, so recovery falls back to the chain state
+// before it — never a partial fold. Rows batches bind to the pending
+// link by cut; unbound batches are ignored (fuzz inputs; a healthy
+// engine never interleaves links).
 //
-// It returns the folded checkpoint (nil when the log has neither a
-// checkpoint frame nor a complete rooted chain) and the number of delta
-// links folded.
+// It returns the folded checkpoint (nil when the log has no complete
+// full link) and the number of links folded, root included.
 func foldChain(frames []Frame) (*Checkpoint, int) {
-	var (
-		base    *Checkpoint // legacy full-image root
-		chain   []*chainLink
-		pending *chainLink
-	)
-	tailCut := func() uint64 {
-		if len(chain) > 0 {
-			return chain[len(chain)-1].begin.CSN
-		}
-		if base != nil {
-			return base.CSN
-		}
-		return 0
-	}
+	var links []*chainLink
+	var pending *chainLink
 	for i := range frames {
 		f := &frames[i]
 		switch {
-		case f.Checkpoint != nil:
-			base, chain, pending = f.Checkpoint, nil, nil
 		case f.DeltaBegin != nil:
 			pending = &chainLink{begin: f.DeltaBegin}
 		case f.DeltaRows != nil:
@@ -201,11 +164,11 @@ func foldChain(frames []Frame) (*Checkpoint, int) {
 			}
 			switch {
 			case pending.begin.Base == 0:
-				// A full link roots a fresh chain; earlier roots and
-				// links are superseded.
-				base, chain = nil, []*chainLink{pending}
-			case pending.begin.Base == tailCut():
-				chain = append(chain, pending)
+				// A full link roots a fresh chain; earlier links are
+				// superseded.
+				links = []*chainLink{pending}
+			case len(links) > 0 && pending.begin.Base == links[len(links)-1].begin.CSN:
+				links = append(links, pending)
 				// Orphan links whose base matches nothing are dropped: a
 				// healthy engine never writes one (it extends only after
 				// the previous end marker synced).
@@ -213,23 +176,14 @@ func foldChain(frames []Frame) (*Checkpoint, int) {
 			pending = nil
 		}
 	}
-	if len(chain) == 0 {
-		return base, 0
+	if len(links) == 0 {
+		return nil, 0
 	}
 
-	// Fold: start from the root image, apply each link's after-images in
-	// order — a tombstone removes the key, a live row installs it.
+	// Fold: apply each link's after-images in order, starting from an
+	// empty map — a tombstone removes the key, a live row installs it.
 	live := map[string]map[core.Value]CheckpointRow{}
-	if base != nil {
-		for _, t := range base.Tables {
-			m := make(map[core.Value]CheckpointRow, len(t.Rows))
-			for _, r := range t.Rows {
-				m[r.Key] = r
-			}
-			live[t.Schema.Name] = m
-		}
-	}
-	for _, ln := range chain {
+	for _, ln := range links {
 		for _, dr := range ln.rows {
 			m := live[dr.Table]
 			if dr.Rec == nil {
@@ -251,11 +205,12 @@ func foldChain(frames []Frame) (*Checkpoint, int) {
 
 	// Tables come from the last link's embedded schema set — the
 	// definitions as of the final cut — so empty tables survive the fold.
-	ckpt := &Checkpoint{CSN: tailCut()}
+	last := links[len(links)-1]
+	ckpt := &Checkpoint{CSN: last.begin.CSN}
 	seen := map[string]bool{}
-	addTable := func(s core.Schema) {
+	for _, s := range last.begin.Schemas {
 		if seen[s.Name] {
-			return
+			continue
 		}
 		seen[s.Name] = true
 		ct := CheckpointTable{Schema: s}
@@ -270,18 +225,7 @@ func foldChain(frames []Frame) (*Checkpoint, int) {
 		}
 		ckpt.Tables = append(ckpt.Tables, ct)
 	}
-	for _, s := range chain[len(chain)-1].begin.Schemas {
-		addTable(s)
-	}
-	// Defensive: tables in the root image missing from the last link's
-	// schema set (schemas only grow, so a healthy log never hits this)
-	// still fold through rather than vanish.
-	if base != nil {
-		for _, t := range base.Tables {
-			addTable(t.Schema)
-		}
-	}
-	return ckpt, len(chain)
+	return ckpt, len(links)
 }
 
 // torn returns the position (in sorted order) of the segment containing
@@ -308,8 +252,7 @@ func Classify(b []byte) *RecoveryInfo {
 		TornBytes:  len(b) - validLen,
 	}
 
-	// The snapshot to restore: the last full-image checkpoint, with any
-	// complete delta chain built on it folded in.
+	// The snapshot to restore: the newest complete chain, folded.
 	info.Checkpoint, info.ChainLinks = foldChain(frames)
 	cut := uint64(0)
 	if info.Checkpoint != nil {

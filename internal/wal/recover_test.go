@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -14,18 +16,13 @@ func commitFrameBytes(csn uint64, rows ...RowImage) []byte {
 }
 
 func TestClassifyCheckpointAndRedo(t *testing.T) {
-	ckpt := &Checkpoint{
-		CSN: 5,
-		Tables: []CheckpointTable{{
-			Schema: testSchema(),
-			Rows:   []CheckpointRow{{Key: core.Int(1), CSN: 4, Rec: core.Record{core.Int(1), core.Str("a")}}},
-		}},
-	}
 	var log []byte
-	log = append(log, EncodeCheckpoint(ckpt)...)
+	log = append(log, deltaLink(0, 5, []core.Schema{testSchema()}, []DeltaRow{
+		{Table: "T", Key: core.Int(1), CSN: 4, Rec: core.Record{core.Int(1), core.Str("a")}},
+	})...)
 	log = append(log, commitFrameBytes(7)...)
 	log = append(log, commitFrameBytes(6)...)
-	log = append(log, commitFrameBytes(3)...) // pre-cut commit in an untruncated log
+	log = append(log, commitFrameBytes(3)...) // a commit the chain already covers
 
 	info := Classify(log)
 	if info.Checkpoint == nil || info.Checkpoint.CSN != 5 {
@@ -37,27 +34,46 @@ func TestClassifyCheckpointAndRedo(t *testing.T) {
 	if info.HighCSN != 7 {
 		t.Fatalf("HighCSN = %d, want 7", info.HighCSN)
 	}
-	if info.TornBytes != 0 || info.ValidBytes != len(log) || info.Frames != 4 {
+	if info.TornBytes != 0 || info.ValidBytes != len(log) || info.Frames != 6 {
 		t.Fatalf("scan accounting: %+v", info)
 	}
 	if len(info.Schemas) != 1 || info.Schemas[0].Name != "T" {
-		t.Fatalf("checkpoint-embedded schema not extracted: %+v", info.Schemas)
+		t.Fatalf("link-embedded schema not extracted: %+v", info.Schemas)
 	}
 }
 
 func TestClassifyLastCheckpointWins(t *testing.T) {
 	var log []byte
-	log = append(log, EncodeCheckpoint(&Checkpoint{CSN: 3})...)
+	log = append(log, deltaLink(0, 3, nil)...)
 	log = append(log, commitFrameBytes(4)...)
-	log = append(log, EncodeCheckpoint(&Checkpoint{CSN: 8})...)
+	log = append(log, deltaLink(0, 8, nil)...)
 	log = append(log, commitFrameBytes(9)...)
 
 	info := Classify(log)
-	if info.Checkpoint.CSN != 8 {
-		t.Fatalf("checkpoint CSN = %d, want the later one (8)", info.Checkpoint.CSN)
+	if info.Checkpoint.CSN != 8 || info.ChainLinks != 1 {
+		t.Fatalf("checkpoint CSN = %d (%d links), want the later root (8, 1 link)", info.Checkpoint.CSN, info.ChainLinks)
 	}
 	if len(info.Commits) != 1 || info.Commits[0].CSN != 9 {
 		t.Fatalf("commits = %+v, want only CSN 9", info.Commits)
+	}
+}
+
+// TestRecoverRejectsLegacyCheckpointLog pins the upgrade guard: a log
+// written by the stop-the-world checkpointer of older builds starts
+// with a type-2 frame. The torn-tail rule would truncate the whole log
+// to an empty database; Recover must fail with ErrLegacyCheckpoint
+// instead and leave every byte in place.
+func TestRecoverRejectsLegacyCheckpointLog(t *testing.T) {
+	img := append(legacyCheckpointFrame(), commitFrameBytes(6)...)
+	l, err := NewMemSegmentLogFrom([]SegmentData{{Index: 3, Data: img}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(l); !errors.Is(err, ErrLegacyCheckpoint) {
+		t.Fatalf("Recover = %v, want ErrLegacyCheckpoint", err)
+	}
+	if got := logBytes(t, l); !bytes.Equal(got, img) {
+		t.Fatalf("Recover rewrote the legacy log: %d bytes, want %d untouched", len(got), len(img))
 	}
 }
 
@@ -82,7 +98,10 @@ func TestClassifySchemaDedupLastWins(t *testing.T) {
 func TestRecoverRepairsTornTail(t *testing.T) {
 	clean := append(commitFrameBytes(1), commitFrameBytes(2)...)
 	torn := append(append([]byte{}, clean...), 0xde, 0xad, 0xbe)
-	dev := NewMemDeviceBytes(torn)
+	dev, err := NewMemSegmentLogFrom([]SegmentData{{Data: torn}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	info, err := Recover(dev)
 	if err != nil {
@@ -156,7 +175,10 @@ func TestRecoveryIdempotenceQuick(t *testing.T) {
 		clean := len(log)
 		log = append(log, h.junk...)
 
-		dev := NewMemDeviceBytes(log)
+		dev, err := NewMemSegmentLogFrom([]SegmentData{{Data: log}}, 0)
+		if err != nil {
+			return false
+		}
 		first, err := Recover(dev)
 		if err != nil {
 			return false

@@ -14,8 +14,9 @@ import (
 // triggers a segment rotation, before the current segment is sealed. An
 // injected error fails the append (the WAL bricks on it, as on any
 // device error); an ActPanic models the process dying mid-rotation —
-// the current segment loses its unsynced tail (page cache) and the
-// append is rejected, but every synced byte survives for recovery.
+// the append is rejected and the WAL drops the current segment's
+// unsynced tail (page cache), but every synced byte survives for
+// recovery.
 const FaultRotate = "wal/rotate"
 
 // FaultRetire fires inside SegmentLog.RetireSegments once per segment,
@@ -59,22 +60,6 @@ type SegmentData struct {
 	Data  []byte
 }
 
-// Segmented is implemented by devices that store the log as an ordered
-// sequence of segments. Recover uses it to validate the layout —
-// indices must be contiguous and a torn tail may only appear in the
-// final segment — instead of blindly scanning the concatenation.
-type Segmented interface {
-	Segments() ([]SegmentData, error)
-}
-
-// TailTruncator is implemented by devices that can discard everything
-// past a logical offset without rewriting the whole log. Recover
-// prefers it over Rewrite for torn-tail repair: a segmented log drops
-// the tail segments and truncates the one containing the cut.
-type TailTruncator interface {
-	TruncateTail(valid int64) error
-}
-
 // segFile is one open segment of a SegmentLog.
 type segFile interface {
 	append(b []byte) error
@@ -91,7 +76,7 @@ type segFile interface {
 }
 
 // segStore is the medium a SegmentLog manages segments on: an in-memory
-// map (tests, crash-chaos) or a directory of wal.000N files.
+// map (tests, crash chaos, fuzzing) or a directory of wal.000N files.
 type segStore interface {
 	// list returns the indices of existing segments, unsorted.
 	list() ([]int, error)
@@ -108,15 +93,15 @@ type segStore interface {
 	syncDir() error
 }
 
-// SegmentLog is a LogDevice that stores the byte stream as wal.000N
+// SegmentLog is the log device: it stores the byte stream as wal.000N
 // segments, rotating to a fresh segment when an append would push the
 // current one past the size threshold. Rotation happens only between
 // Appends, so one flush group never spans segments — but recovery scans
 // the concatenation, so even a frame split across a boundary (e.g. by a
-// foreign writer) decodes fine. Rewrite (checkpoint truncation) writes
-// the new image as the next segment and then unlinks the old ones
-// oldest-first, so a crash at any point leaves a contiguous, decodable
-// sequence.
+// foreign writer) decodes fine. The log is bounded by RetireSegments,
+// which the checkpoint chain calls after each completed link to unlink
+// the sealed segments the chain covers, oldest first, so a crash at any
+// point leaves a contiguous, decodable sequence.
 type SegmentLog struct {
 	mu      sync.Mutex
 	store   segStore
@@ -139,12 +124,16 @@ type segMeta struct {
 	size int64
 }
 
+// DefaultSegmentSize is the rotation threshold used when a segment size
+// of zero (or less) is asked for.
+const DefaultSegmentSize = 16 << 20
+
 // openSegments initializes a SegmentLog over a store: existing segments
 // are adopted (indices must be contiguous), an empty store gets segment
 // 0. Adopted content counts as synced — it is what survived.
 func openSegments(store segStore, segSize int64) (*SegmentLog, error) {
 	if segSize <= 0 {
-		return nil, fmt.Errorf("wal: segment size %d must be positive", segSize)
+		segSize = DefaultSegmentSize
 	}
 	l := &SegmentLog{store: store, segSize: segSize}
 	idxs, err := store.list()
@@ -188,14 +177,32 @@ func openSegments(store segStore, segSize int64) (*SegmentLog, error) {
 	return l, nil
 }
 
-// NewMemSegmentLog returns an in-memory segmented log (tests and the
-// crash-chaos harness).
+// NewMemSegmentLog returns an empty in-memory segmented log (tests and
+// the crash-chaos harness). A segSize of zero or less means
+// DefaultSegmentSize.
 func NewMemSegmentLog(segSize int64) (*SegmentLog, error) {
-	return openSegments(&memSegStore{segs: map[int]*memSeg{}}, segSize)
+	return NewMemSegmentLogFrom(nil, segSize)
 }
 
-// OpenSegmentLog opens (creating if needed) a segmented log in dir.
-// Existing wal.000N files are adopted; foreign files are ignored.
+// NewMemSegmentLogFrom returns an in-memory segmented log preloaded with
+// captured segment images (a crashed log's Segments, or a fuzz input).
+// The preload counts as synced — a captured image is by definition on
+// the platter — and its indices must be distinct and contiguous, as in
+// a real log directory.
+func NewMemSegmentLogFrom(segs []SegmentData, segSize int64) (*SegmentLog, error) {
+	st := &memSegStore{segs: make(map[int]*memSeg, len(segs))}
+	for _, s := range segs {
+		if _, dup := st.segs[s.Index]; dup {
+			return nil, fmt.Errorf("wal: duplicate segment %s", SegmentName(s.Index))
+		}
+		st.segs[s.Index] = &memSeg{buf: append([]byte(nil), s.Data...)}
+	}
+	return openSegments(st, segSize)
+}
+
+// OpenSegmentLog opens (creating if needed) a segmented log in dir. A
+// segSize of zero or less means DefaultSegmentSize. Existing wal.000N
+// files are adopted; foreign files are ignored.
 func OpenSegmentLog(dir string, segSize int64) (*SegmentLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -235,20 +242,21 @@ func (l *SegmentLog) SetPrealloc(n int64) error {
 	return nil
 }
 
-// fireRotate hits FaultRotate, converting an injected crash panic into
-// (err, crashed) like the WAL's own fault sites: the flush goroutine
-// must survive to report the failure.
-func (l *SegmentLog) fireRotate() (err error, crashed bool) {
+// fire hits one of the log's fault points, converting an injected
+// crash panic into its error value: the WAL goroutine that called into
+// the log must survive to report the crash, which devOp recognises by
+// the *faultinject.Panic in the error chain.
+func (l *SegmentLog) fire(point string) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, ok := faultinject.AsPanic(r)
 			if !ok {
 				panic(r)
 			}
-			err, crashed = p, true
+			err = p
 		}
 	}()
-	return l.faults.Fire(FaultRotate, faultinject.Ctx{}), false
+	return l.faults.Fire(point, faultinject.Ctx{})
 }
 
 // cur returns the current (last) segment's meta slot.
@@ -275,24 +283,29 @@ func (l *SegmentLog) Append(b []byte) error {
 	return nil
 }
 
+// Rotate seals the current segment and opens the next, unless the
+// current segment is still empty. A forced checkpoint re-root rotates
+// (through WAL.Rotate) before appending its begin marker, so once the
+// link completes every earlier segment is covered and can retire.
+func (l *SegmentLog) Rotate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.curMeta().size == 0 {
+		return nil
+	}
+	return l.rotate()
+}
+
 // rotate seals the current segment and opens the next. The seal is a
 // sync — a sealed segment is immutable and fully durable — followed by
 // the creation of segment N+1 and a directory sync. A crash anywhere in
 // between leaves either [.., N] or [.., N, N+1(empty)], both contiguous
 // and decodable.
 func (l *SegmentLog) rotate() error {
-	if err, crashed := l.fireRotate(); err != nil || crashed {
-		if crashed {
-			// Process death mid-rotation: the unsynced tail of the
-			// current segment is lost with the page cache.
-			cm := l.curMeta()
-			if cm.size > l.curSynced {
-				if terr := l.cur.truncate(l.curSynced); terr == nil {
-					l.total -= cm.size - l.curSynced
-					cm.size = l.curSynced
-				}
-			}
-		}
+	if err := l.fire(FaultRotate); err != nil {
+		// An injected crash comes back as a *faultinject.Panic error;
+		// the WAL then drops the unsynced tail (DropUnsynced) as for any
+		// crash.
 		return fmt.Errorf("wal: segment rotation: %w", err)
 	}
 	if l.prealloc > 0 {
@@ -340,8 +353,10 @@ func (l *SegmentLog) Sync() error {
 	return nil
 }
 
-// DropUnsynced implements VolatileDevice: a power failure loses the
-// current segment's unsynced tail.
+// DropUnsynced simulates a power failure: the current segment's
+// unsynced tail is lost with the page cache (sealed segments were
+// synced at rotation). It returns how many bytes were lost. The WAL
+// calls it when an injected crash kills the device.
 func (l *SegmentLog) DropUnsynced() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -358,21 +373,8 @@ func (l *SegmentLog) DropUnsynced() (int64, error) {
 	return dropped, nil
 }
 
-// Contents implements LogDevice: the concatenation of every segment in
-// index order.
-func (l *SegmentLog) Contents() ([]byte, error) {
-	segs, err := l.Segments()
-	if err != nil {
-		return nil, err
-	}
-	var all []byte
-	for _, s := range segs {
-		all = append(all, s.Data...)
-	}
-	return all, nil
-}
-
-// Segments implements Segmented.
+// Segments returns every live segment's image in index order — the
+// input recovery and ClassifySegments validate and scan.
 func (l *SegmentLog) Segments() ([]SegmentData, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -400,76 +402,9 @@ func (l *SegmentLog) Segments() ([]SegmentData, error) {
 	return out, nil
 }
 
-// Rewrite implements LogDevice: checkpoint truncation writes the new
-// image as segment N+1 (synced before it counts), then unlinks segments
-// oldest-first. A crash after the new segment is durable leaves a
-// suffix [k..N+1]; recovery scans the concatenation, and the last
-// checkpoint frame — the one just written — wins, so every crash state
-// recovers to the same database.
-func (l *SegmentLog) Rewrite(b []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	next := l.curMeta().idx + 1
-	f, err := l.store.create(next)
-	if err != nil {
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if l.prealloc > 0 {
-		if err := f.prealloc(l.prealloc); err != nil {
-			f.close()
-			l.store.remove(next)
-			return fmt.Errorf("wal: rewrite segment prealloc: %w", err)
-		}
-	}
-	if err := f.append(b); err != nil {
-		f.close()
-		l.store.remove(next)
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := f.sync(); err != nil {
-		f.close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	if err := l.store.syncDir(); err != nil {
-		f.close()
-		return fmt.Errorf("wal: rewrite segment: %w", err)
-	}
-	// The new image is durable; retire the old segments oldest-first so
-	// any partial removal still leaves a contiguous index range.
-	l.cur.close()
-	for _, m := range l.segs {
-		if err := l.store.remove(m.idx); err != nil {
-			// The old segment sticks around; recovery still lands on the
-			// new checkpoint. Report nothing — the log stays correct.
-			continue
-		}
-	}
-	_ = l.store.syncDir()
-	l.segs = []segMeta{{idx: next, size: int64(len(b))}}
-	l.cur = f
-	l.curSynced = int64(len(b))
-	l.total = int64(len(b))
-	return nil
-}
-
-// fireRetire hits FaultRetire with the usual panic conversion.
-func (l *SegmentLog) fireRetire() (err error, crashed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			p, ok := faultinject.AsPanic(r)
-			if !ok {
-				panic(r)
-			}
-			err, crashed = p, true
-		}
-	}()
-	return l.faults.Fire(FaultRetire, faultinject.Ctx{}), false
-}
-
-// RetireSegments implements Retirer: unlink sealed segments with index
-// < beforeIdx, oldest first, each optionally copied to archiveDir
-// first (copy synced before the unlink, so the archive never misses a
-// retired segment). The current segment is never retired. A failure —
+// RetireSegments unlinks sealed segments with index < beforeIdx, oldest
+// first, each optionally copied to archiveDir first (copy synced before
+// the unlink, so the archive never misses a retired segment). The current segment is never retired. A failure —
 // injected or real — stops the sweep mid-way; because removal is
 // oldest-first, the survivors [k..N] stay a contiguous index range that
 // openSegments and ClassifySegments accept.
@@ -478,8 +413,7 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 	defer l.mu.Unlock()
 	for len(l.segs) > 1 && l.segs[0].idx < beforeIdx {
 		m := l.segs[0]
-		ferr, crashed := l.fireRetire()
-		if ferr != nil || crashed {
+		if ferr := l.fire(FaultRetire); ferr != nil {
 			_ = l.store.syncDir()
 			return retired, archived, fmt.Errorf("wal: segment retire %s: %w", SegmentName(m.idx), ferr)
 		}
@@ -513,8 +447,8 @@ func (l *SegmentLog) RetireSegments(beforeIdx int, archiveDir string) (retired, 
 	return retired, archived, nil
 }
 
-// TruncateTail implements TailTruncator: discard everything past the
-// logical offset valid (torn-tail repair). Later segments are removed
+// TruncateTail discards everything past the logical offset valid
+// (recovery's torn-tail repair). Later segments are removed
 // newest-first, then the segment containing the cut is truncated.
 func (l *SegmentLog) TruncateTail(valid int64) error {
 	l.mu.Lock()
@@ -573,7 +507,7 @@ func (l *SegmentLog) TruncateTail(valid int64) error {
 	return nil
 }
 
-// Size implements LogDevice.
+// Size returns the live log length in bytes (retired segments excluded).
 func (l *SegmentLog) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -79,10 +79,12 @@ func TestSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestSegmentRewriteCheckpoint checks checkpoint truncation on a
-// segmented log: the snapshot lands in a fresh segment, old segments
-// are retired, and post-checkpoint commits recover on top.
-func TestSegmentRewriteCheckpoint(t *testing.T) {
+// TestSegmentFullLinkRetiresCovered checks that a checkpoint bounds a
+// segmented log: a full chain link written after several rotations
+// lets Retire unlink every segment before the one its begin marker
+// landed in, and post-checkpoint commits recover on top of the folded
+// link.
+func TestSegmentFullLinkRetiresCovered(t *testing.T) {
 	dev, err := NewMemSegmentLog(256)
 	if err != nil {
 		t.Fatal(err)
@@ -95,16 +97,22 @@ func TestSegmentRewriteCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	preSegs := dev.SegmentCount()
-	if preSegs < 2 {
-		t.Fatalf("want rotations before the checkpoint, have %d segment", preSegs)
+	if dev.SegmentCount() < 3 {
+		t.Fatalf("want rotations before the checkpoint, have %d segments", dev.SegmentCount())
 	}
-	ckpt := &Checkpoint{CSN: 12, Tables: []CheckpointTable{{Schema: testSchema()}}}
-	if err := w.WriteCheckpoint(ckpt); err != nil {
+	root := dev.CurrentSegment()
+	if _, err := w.BeginDelta(&DeltaBegin{CSN: 12, Schemas: []core.Schema{testSchema()}}); err != nil {
 		t.Fatal(err)
 	}
-	if dev.SegmentCount() != 1 {
-		t.Fatalf("checkpoint left %d segments, want 1", dev.SegmentCount())
+	if _, err := w.EndDelta(&DeltaEnd{CSN: 12}); err != nil {
+		t.Fatal(err)
+	}
+	retired, _, err := w.Retire(root, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if retired != root || dev.SegmentCount() > 2 {
+		t.Fatalf("retired %d segments (%d left), want every segment before %s", retired, dev.SegmentCount(), SegmentName(root))
 	}
 	for csn := uint64(13); csn <= 16; csn++ {
 		if err := durableCommit(w, csn); err != nil {
@@ -124,8 +132,7 @@ func TestSegmentRewriteCheckpoint(t *testing.T) {
 }
 
 // TestSegmentTornTailRepair tears the final segment and checks Recover
-// truncates in place (TruncateTail, not a whole-log Rewrite) and is
-// idempotent.
+// truncates it in place (TruncateTail) and is idempotent.
 func TestSegmentTornTailRepair(t *testing.T) {
 	dev, err := NewMemSegmentLog(256)
 	if err != nil {

@@ -10,10 +10,11 @@
 // flush loop encodes each commit record — row after-images plus CSN —
 // into CRC32-framed binary frames (codec.go), appends each flush group
 // to the device, and issues one Sync per coalesced window of groups
-// (many appends, one fdatasync). Checkpoint and schema frames share the
-// same framing, and Recover (recover.go) classifies a device image back
-// into snapshot + redo work with torn-tail truncation; segment.go adds
-// the wal.000N segmented layout. Read-only transactions never touch the
+// (many appends, one fdatasync). Checkpoint-chain links and schema
+// frames share the same framing, and Recover (recover.go) classifies a
+// log back into snapshot + redo work with torn-tail truncation; the log
+// itself is always the wal.000N segmented layout of segment.go, on disk
+// or in memory. Read-only transactions never touch the
 // log, which is the mechanism behind the paper's §IV-D observation that
 // strategies turning the read-only Balance program into an updater pay
 // ~20% at MPL=1 (5/5 instead of 4/5 of transactions must wait for the
@@ -82,16 +83,16 @@ type Config struct {
 	// one Sync — many appends, one fdatasync — which is what lets
 	// MaxBatch bound device-write sizes without multiplying syncs.
 	SyncEveryGroup bool
-	// Device, when non-nil, is the durable medium: every flush encodes
-	// its batch and appends the frames to the device before
-	// acknowledging. Nil keeps the historical latency-only simulation.
+	// Device, when non-nil, is the durable medium — a *SegmentLog, or a
+	// wrapper around one: every flush encodes its batch and appends the
+	// frames to the device before acknowledging. Nil keeps the
+	// historical latency-only simulation.
 	Device LogDevice
-	// PreallocBytes, when positive, asks the device to create log
+	// PreallocBytes, when positive, asks the segment log to create
 	// segments at this physical size up front (zero-padded past the
 	// logical tail), so steady-state appends overwrite allocated blocks
-	// instead of extending the file on every flush. Ignored by devices
-	// without the notion (memory, flat files); see
-	// SegmentLog.SetPrealloc for the recovery story.
+	// instead of extending the file on every flush. A no-op in memory;
+	// see SegmentLog.SetPrealloc for the recovery story.
 	PreallocBytes int64
 }
 
@@ -144,9 +145,6 @@ type Stats struct {
 	// FailedFlushes counts flush groups that failed; their records
 	// were rejected, not acknowledged.
 	FailedFlushes int64
-	// Checkpoints counts checkpoint frames written (each rewrites the
-	// device to checkpoint + empty tail).
-	Checkpoints int64
 	// DeltaCheckpoints counts fuzzy chain links made durable (end
 	// marker synced).
 	DeltaCheckpoints int64
@@ -183,8 +181,8 @@ type WAL struct {
 	tracer *trace.Recorder
 
 	// devMu serializes all device operations (flush appends and syncs,
-	// checkpoint rewrites, schema appends) so frames never interleave
-	// mid-write.
+	// chain-link appends, schema appends, segment retirement) so frames
+	// never interleave mid-write.
 	devMu sync.Mutex
 	// devDead, guarded by devMu, is set by a simulated crash before
 	// devMu is released; every later device operation fails with it. A
@@ -193,6 +191,16 @@ type WAL struct {
 	// checkpoint delta or a segment retirement) can neither land after
 	// the torn tail nor acknowledge frames the crash dropped.
 	devDead error
+	// appended, guarded by devMu, is the WAL's position in the log
+	// stream: the bytes it has appended to the device. kept, set when a
+	// crash kills the device, is the stream prefix the crash left on
+	// the platter — appended minus the unsynced tail the page cache
+	// lost. A flush window whose frames end inside kept is durable even
+	// though its own Sync never ran (another writer's Sync, or a segment
+	// rotation's seal, covered it), so it is acknowledged: recovery will
+	// replay it.
+	appended int64
+	kept     int64
 
 	mu      sync.Mutex
 	idle    sync.Cond // broadcast when the flush loop exits
@@ -200,7 +208,6 @@ type WAL struct {
 	pending []*Record
 	flusher bool // a flush loop is running
 	closed  bool
-	failErr error // injected fault: every subsequent flush fails with it
 	broken  error // sticky: the device died (crash or IO error); recovery required
 	stats   Stats
 
@@ -221,27 +228,30 @@ func New(cfg Config) *WAL {
 	w := &WAL{cfg: cfg}
 	w.idle.L = &w.mu
 	w.durable.L = &w.mu
-	if cfg.PreallocBytes > 0 {
-		if d, ok := cfg.Device.(interface{ SetPrealloc(int64) error }); ok {
-			// Preallocation is a performance lever, not a correctness one:
-			// a device that cannot extend (full disk, odd medium) just
-			// runs append-grown.
-			_ = d.SetPrealloc(cfg.PreallocBytes)
-		}
+	if l := w.segLog(); l != nil && cfg.PreallocBytes > 0 {
+		// Preallocation is a performance lever, not a correctness one: a
+		// log that cannot extend (full disk) just runs append-grown.
+		_ = l.SetPrealloc(cfg.PreallocBytes)
 	}
 	return w
 }
 
+// segLog returns the attached segment log, or nil when there is no
+// device or it is wrapped (segment retirement and simulated crash
+// losses then do not apply).
+func (w *WAL) segLog() *SegmentLog {
+	l, _ := w.cfg.Device.(*SegmentLog)
+	return l
+}
+
 // SetFaults installs the fault registry consulted by the FaultCommit,
-// FaultFlush and FaultSync points (nil disables), propagating it to a
-// device that has fault points of its own (SegmentLog's rotation).
-// Call before commits are in flight.
+// FaultFlush and FaultSync points (nil disables), propagating it to the
+// segment log's own points (FaultRotate, FaultRetire). Call before
+// commits are in flight.
 func (w *WAL) SetFaults(r *faultinject.Registry) {
 	w.faults = r
-	if d, ok := w.cfg.Device.(interface {
-		SetFaults(*faultinject.Registry)
-	}); ok {
-		d.SetFaults(r)
+	if l := w.segLog(); l != nil {
+		l.SetFaults(r)
 	}
 }
 
@@ -258,9 +268,9 @@ func (w *WAL) CommitFault(tx uint64) error {
 
 // Commit appends rec to the log and blocks until it is durable (the
 // device sync covering its flush group completed). It returns
-// core.ErrWALClosed if the device shuts down first, the injected fault
-// if one is set, or the sticky crash error once a flush has torn the
-// device.
+// core.ErrWALClosed if the device shuts down first, an injected
+// wal/commit or wal/flush fault, or the sticky crash error once a flush
+// has torn the device.
 func (w *WAL) Commit(rec *Record) error {
 	if err := w.CommitFault(rec.TxID); err != nil {
 		return err
@@ -410,21 +420,20 @@ func (w *WAL) flushLoop() {
 			window = w.pending
 			w.pending = nil
 		}
-		injected := w.failErr
-		if injected == nil {
-			injected = w.broken
-		}
+		broken := w.broken
 		w.mu.Unlock()
 
-		w.flushWindow(window, injected)
+		w.flushWindow(window, broken)
 	}
 }
 
-// group is one device-write unit inside a flush window.
+// group is one device-write unit inside a flush window; end is its
+// position in the log stream once appended.
 type group struct {
 	recs   []*Record
 	frames []byte
 	bytes  int
+	end    int64
 }
 
 // splitGroups cuts a window into MaxBatch-sized flush groups and
@@ -452,9 +461,10 @@ func (w *WAL) splitGroups(window []*Record) []group {
 // injected device error rejects exactly that group's records (counted
 // once, in FailedFlushes — never also in Flushes/Bytes) while earlier
 // appends stay covered by the window's Sync and later groups still
-// run. Crashes (injected panics) lose the window's unsynced appends,
-// leave at most a torn fragment, and brick the WAL.
-func (w *WAL) flushWindow(window []*Record, injected error) {
+// run. A window flushed on a broken WAL fails whole. Crashes (injected
+// panics) lose the window's unsynced appends, leave at most a torn
+// fragment, and brick the WAL; settle sorts out what survived.
+func (w *WAL) flushWindow(window []*Record, broken error) {
 	groups := w.splitGroups(window)
 
 	// The device sync occupies the log for the configured latency,
@@ -462,19 +472,12 @@ func (w *WAL) flushWindow(window []*Record, injected error) {
 	// coalesced group commit.
 	time.Sleep(w.cfg.FsyncLatency)
 
-	if injected != nil {
-		w.mu.Lock()
-		w.stats.FailedFlushes += int64(len(groups))
-		w.mu.Unlock()
-		for _, g := range groups {
-			w.resolve(g.recs, injected)
-		}
+	if broken != nil {
+		w.settle(nil, groups, broken)
 		return
 	}
 
 	var appended []group
-	var crashErr error
-	failFrom := len(groups) // first group index not appended due to crash
 	for gi, g := range groups {
 		err, crashed := w.fireFlush()
 		if crashed {
@@ -482,43 +485,25 @@ func (w *WAL) flushWindow(window []*Record, injected error) {
 			// appends — is lost; a torn prefix of this group's first
 			// frame made the platter mid-write.
 			w.crash(g.frames, err)
-			crashErr, failFrom = err, gi
-			break
+			w.settle(appended, groups[gi:], err)
+			return
 		}
 		if err != nil {
 			// Injected device error for this group only: rejected before
 			// any byte reached the device; the rest of the window
 			// proceeds.
-			w.mu.Lock()
-			w.stats.FailedFlushes++
-			w.mu.Unlock()
-			w.resolve(g.recs, err)
+			w.settle(nil, groups[gi:gi+1], err)
 			continue
 		}
-		if derr := w.devAppend(g.frames); derr != nil {
+		end, derr := w.devAppend(g.frames)
+		if derr != nil {
 			w.brick(derr)
-			crashErr, failFrom = derr, gi
-			break
+			w.settle(appended, groups[gi:], derr)
+			return
 		}
+		g.end = end
 		appended = append(appended, g)
 	}
-
-	if crashErr != nil {
-		// The crash loses every unacknowledged record of the window:
-		// the appended-but-unsynced groups and everything after the
-		// crash point.
-		w.mu.Lock()
-		w.stats.FailedFlushes += int64(len(appended) + len(groups) - failFrom)
-		w.mu.Unlock()
-		for _, g := range appended {
-			w.resolve(g.recs, crashErr)
-		}
-		for _, g := range groups[failFrom:] {
-			w.resolve(g.recs, crashErr)
-		}
-		return
-	}
-
 	if len(appended) == 0 {
 		return
 	}
@@ -526,51 +511,79 @@ func (w *WAL) flushWindow(window []*Record, injected error) {
 	serr, scrashed := w.fireSync()
 	if scrashed {
 		// Power dies inside the coalesced-sync window, before the sync
-		// reaches the device: the whole window's appends sit in the
-		// lost page cache.
+		// reaches the device: the window's appends sit in the lost page
+		// cache, unless another writer's Sync already covered them.
 		w.crash(nil, serr)
-		w.failWindow(appended, serr)
-		return
-	}
-	if serr == nil {
+	} else if serr == nil {
 		serr = w.devSync()
 	}
 	if serr != nil {
 		// Failed fsync: durability of everything since the last
 		// successful sync is unknown (fsyncgate) — brick.
-		w.failWindow(appended, serr)
+		w.brick(serr)
+		w.settle(appended, nil, serr)
 		return
 	}
-
 	w.mu.Lock()
 	w.stats.Syncs++
-	for _, g := range appended {
-		w.stats.Flushes++
-		w.stats.Records += int64(len(g.recs))
-		w.stats.Bytes += int64(g.bytes)
-	}
 	w.mu.Unlock()
-
-	if w.tracer.Enabled() {
-		// Device-level events: no transaction; Depth is the group size.
-		for _, g := range appended {
-			w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(g.recs), Bytes: g.bytes})
-		}
-	}
-
+	w.ack(appended)
 	for _, g := range appended {
 		w.resolve(g.recs, nil)
 	}
 }
 
-// failWindow bricks the WAL with err and rejects every appended group.
-func (w *WAL) failWindow(appended []group, err error) {
-	w.brick(err)
+// settle resolves a window the device failed under: the appended groups
+// the failure left on the platter are acknowledged, and every other
+// group — the rest of appended, then rest — fails with err. Only a
+// crash that killed the device (here, or on another goroutine) keeps a
+// known prefix; after any other failure nothing unsynced counts as
+// durable.
+func (w *WAL) settle(appended, rest []group, err error) {
+	w.devMu.Lock()
+	kept := int64(-1)
+	if w.devDead != nil {
+		kept = w.kept
+	}
+	w.devMu.Unlock()
+	n := 0
+	for n < len(appended) && appended[n].end <= kept {
+		n++
+	}
+	w.ack(appended[:n])
+	for _, g := range appended[:n] {
+		w.resolve(g.recs, nil)
+	}
+	failed := append(appended[n:len(appended):len(appended)], rest...)
 	w.mu.Lock()
-	w.stats.FailedFlushes += int64(len(appended))
+	w.stats.FailedFlushes += int64(len(failed))
 	w.mu.Unlock()
-	for _, g := range appended {
+	for _, g := range failed {
 		w.resolve(g.recs, err)
+	}
+}
+
+// ack accounts durable flush groups: stats and the EvWALFlush events.
+// The caller then resolves their records with a nil verdict — not ack:
+// a flush goroutine starts on a small stack, and one more frame above
+// resolve's channel send made every window pay a stack copy (~4µs per
+// commit in BenchmarkCommitDurable/mem).
+func (w *WAL) ack(groups []group) {
+	if len(groups) == 0 {
+		return
+	}
+	w.mu.Lock()
+	for _, g := range groups {
+		w.stats.Flushes++
+		w.stats.Records += int64(len(g.recs))
+		w.stats.Bytes += int64(g.bytes)
+	}
+	w.mu.Unlock()
+	if w.tracer.Enabled() {
+		// Device-level events: no transaction; Depth is the group size.
+		for _, g := range groups {
+			w.tracer.Emit(trace.Event{Kind: trace.EvWALFlush, Depth: len(g.recs), Bytes: g.bytes})
+		}
 	}
 }
 
@@ -630,12 +643,30 @@ func (w *WAL) devOp(op func(LogDevice) error) error {
 	return err
 }
 
-// devAppend writes one flush group to the device.
-func (w *WAL) devAppend(frames []byte) error {
-	if w.cfg.Device == nil || len(frames) == 0 {
-		return nil
+// put appends b to the device and advances the stream position. The
+// caller holds devMu (it runs inside devOp).
+func (w *WAL) put(d LogDevice, b []byte) error {
+	if err := d.Append(b); err != nil {
+		return err
 	}
-	return w.devOp(func(d LogDevice) error { return d.Append(frames) })
+	w.appended += int64(len(b))
+	return nil
+}
+
+// devAppend writes frames to the device, returning the stream position
+// just past them.
+func (w *WAL) devAppend(frames []byte) (end int64, err error) {
+	if w.cfg.Device == nil || len(frames) == 0 {
+		return 0, nil
+	}
+	err = w.devOp(func(d LogDevice) error {
+		if err := w.put(d, frames); err != nil {
+			return err
+		}
+		end = w.appended
+		return nil
+	})
+	return end, err
 }
 
 // devSync issues the device sync covering every append since the last.
@@ -665,12 +696,15 @@ func (w *WAL) dieLocked(torn []byte, err error) {
 		return
 	}
 	w.devDead = err
+	w.kept = -1 // without a device nothing survives
 	if w.cfg.Device == nil {
 		return
 	}
-	if vd, ok := w.cfg.Device.(VolatileDevice); ok {
-		_, _ = vd.DropUnsynced()
+	var lost int64
+	if l := w.segLog(); l != nil {
+		lost, _ = l.DropUnsynced()
 	}
+	w.kept = w.appended - lost
 	w.tornAppend(torn)
 }
 
@@ -746,46 +780,8 @@ func (w *WAL) Drain() {
 	w.mu.Unlock()
 }
 
-// WriteCheckpoint truncates the log to a single checkpoint frame. The
-// caller (engine.DB.Checkpoint) must guarantee quiescence: no commit
-// may sit between CSN allocation and publication, so every durable
-// frame is covered by the snapshot and Rewrite loses nothing. (Async
-// records may still be in the flush queue, but the barrier guarantees
-// their CSNs are published, hence ≤ the cut: their frames land after
-// the checkpoint and recovery skips them as already covered.)
-func (w *WAL) WriteCheckpoint(c *Checkpoint) error {
-	if w.cfg.Device == nil {
-		return core.ErrWALClosed
-	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return core.ErrWALClosed
-	}
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		return err
-	}
-	w.mu.Unlock()
-
-	enc := EncodeCheckpoint(c)
-	err := w.devOp(func(d LogDevice) error { return d.Rewrite(enc) })
-
-	w.mu.Lock()
-	if err == nil {
-		w.stats.Checkpoints++
-		w.stats.Bytes += int64(len(enc))
-	} else {
-		w.broken = err
-		w.durable.Broadcast()
-	}
-	w.mu.Unlock()
-	return err
-}
-
-// AppendSchema persists a DDL frame so a log without a checkpoint can
-// still rebuild table definitions. The frame is synced immediately —
+// AppendSchema persists a DDL frame so a log without a checkpoint chain
+// can still rebuild table definitions. The frame is synced immediately —
 // DDL is rare and must not sit in the page cache behind a commit
 // window. No-op without a device.
 func (w *WAL) AppendSchema(s *core.Schema) error {
@@ -806,7 +802,7 @@ func (w *WAL) AppendSchema(s *core.Schema) error {
 
 	enc := EncodeSchema(s)
 	err := w.devOp(func(d LogDevice) error {
-		if err := d.Append(enc); err != nil {
+		if err := w.put(d, enc); err != nil {
 			return err
 		}
 		return d.Sync()
@@ -850,7 +846,7 @@ func (w *WAL) BeginDelta(d *DeltaBegin) (int, error) {
 		return 0, err
 	}
 	enc := EncodeDeltaBegin(d)
-	err := w.devOp(func(dev LogDevice) error { return dev.Append(enc) })
+	err := w.devOp(func(dev LogDevice) error { return w.put(dev, enc) })
 	w.mu.Lock()
 	if err == nil {
 		w.stats.Bytes += int64(len(enc))
@@ -900,7 +896,7 @@ func (w *WAL) AppendDeltaRows(d *DeltaRows) (int, error) {
 		return 0, ferr
 	}
 	if ferr == nil {
-		ferr = w.devAppend(enc)
+		_, ferr = w.devAppend(enc)
 	}
 	w.mu.Lock()
 	if ferr == nil {
@@ -929,7 +925,7 @@ func (w *WAL) EndDelta(d *DeltaEnd) (int, error) {
 	}
 	enc := EncodeDeltaEnd(d)
 	err := w.devOp(func(dev LogDevice) error {
-		if err := dev.Append(enc); err != nil {
+		if err := w.put(dev, enc); err != nil {
 			return err
 		}
 		return dev.Sync()
@@ -947,15 +943,23 @@ func (w *WAL) EndDelta(d *DeltaEnd) (int, error) {
 	return len(enc), err
 }
 
-// Retirer is implemented by log devices that can unlink sealed segments
-// wholly covered by a durable checkpoint chain (the segmented log).
-type Retirer interface {
-	// RetireSegments removes every sealed segment with index < beforeIdx,
-	// oldest first; with archiveDir non-empty each is copied there before
-	// the unlink. It returns how many segments were removed and how many
-	// of those were archived. A crash mid-retire leaves a shorter prefix
-	// removed — still a valid suffix layout.
-	RetireSegments(beforeIdx int, archiveDir string) (retired, archived int, err error)
+// Rotate starts a new log segment; a no-op without a segment log or
+// while the current segment is empty. A crash inside the rotation
+// (FaultRotate) kills the device like any other, and any failure
+// bricks the WAL.
+func (w *WAL) Rotate() error {
+	l := w.segLog()
+	if l == nil {
+		return nil
+	}
+	if err := w.guardOpen(); err != nil {
+		return err
+	}
+	err := w.devOp(func(LogDevice) error { return l.Rotate() })
+	if err != nil {
+		w.brick(err)
+	}
+	return err
 }
 
 // Retire unlinks sealed segments with index < beforeIdx, optionally
@@ -963,10 +967,10 @@ type Retirer interface {
 // The caller must only pass a beforeIdx at or below the segment index
 // that was current when the chain's ROOT link appended its begin marker
 // — everything before that point is reconstructible from the chain. A
-// no-op (0, 0, nil) when the device does not support retirement.
+// no-op (0, 0, nil) without a segment log.
 func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, err error) {
-	r, ok := w.cfg.Device.(Retirer)
-	if !ok {
+	l := w.segLog()
+	if l == nil {
 		return 0, 0, nil
 	}
 	if err := w.guardOpen(); err != nil {
@@ -974,7 +978,7 @@ func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, e
 	}
 	err = w.devOp(func(LogDevice) error {
 		var rerr error
-		retired, archived, rerr = r.RetireSegments(beforeIdx, archiveDir)
+		retired, archived, rerr = l.RetireSegments(beforeIdx, archiveDir)
 		return rerr
 	})
 	w.mu.Lock()
@@ -986,15 +990,6 @@ func (w *WAL) Retire(beforeIdx int, archiveDir string) (retired, archived int, e
 	}
 	w.mu.Unlock()
 	return retired, archived, err
-}
-
-// InjectFailure makes every subsequent flush window acknowledge its
-// records with err (nil clears the fault). Nothing reaches the device
-// while the fault is set. Used by failure-injection tests.
-func (w *WAL) InjectFailure(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.failErr = err
 }
 
 // Broken returns the sticky device-death error (nil while healthy). A

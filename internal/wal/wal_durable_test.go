@@ -11,6 +11,40 @@ import (
 	"sicost/internal/faultinject"
 )
 
+// memLog returns an empty in-memory segment log at the default segment
+// size, so a test-sized log stays in one segment.
+func memLog(t testing.TB) *SegmentLog {
+	t.Helper()
+	l, err := NewMemSegmentLog(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// logBytes returns the concatenation of every live segment of l.
+func logBytes(t testing.TB, l *SegmentLog) []byte {
+	t.Helper()
+	segs, err := l.Segments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for _, s := range segs {
+		all = append(all, s.Data...)
+	}
+	return all
+}
+
+// failFlushes arms wal/flush to reject every flush group with err until
+// the point is disarmed; nothing reaches the device meanwhile.
+func failFlushes(t testing.TB, reg *faultinject.Registry, err error) {
+	t.Helper()
+	if aerr := reg.Arm(faultinject.Spec{Point: FaultFlush, Action: faultinject.ActError, Err: err}); aerr != nil {
+		t.Fatal(aerr)
+	}
+}
+
 func durableCommit(w *WAL, csn uint64) error {
 	return w.Commit(&Record{
 		TxID: csn + 100, CSN: csn,
@@ -19,7 +53,7 @@ func durableCommit(w *WAL, csn uint64) error {
 }
 
 func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev})
 	defer w.Close()
 
@@ -28,10 +62,7 @@ func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := logBytes(t, dev)
 	frames, valid := ScanLog(b)
 	if valid != len(b) {
 		t.Fatalf("device holds a torn log after clean commits: %d of %d bytes valid", valid, len(b))
@@ -50,11 +81,13 @@ func TestDurableCommitPersistsDecodableFrames(t *testing.T) {
 }
 
 func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev})
+	reg := faultinject.New(1)
+	w.SetFaults(reg)
 	defer w.Close()
 	boom := errors.New("disk on fire")
-	w.InjectFailure(boom)
+	failFlushes(t, reg, boom)
 	if err := durableCommit(w, 1); !errors.Is(err, boom) {
 		t.Fatalf("commit = %v, want injected error", err)
 	}
@@ -65,7 +98,7 @@ func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 	// An injected failure is transient, not a crash: the WAL recovers.
-	w.InjectFailure(nil)
+	reg.Disarm(FaultFlush)
 	if err := durableCommit(w, 2); err != nil {
 		t.Fatalf("after clearing: %v", err)
 	}
@@ -81,7 +114,7 @@ func TestInjectedFailureKeepsDeviceUntouched(t *testing.T) {
 // strict prefix of the batch's first frame on the device, and brick the
 // WAL until recovery.
 func TestFlushCrashTearsAndBricks(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev})
 	reg := faultinject.New(3)
 	w.SetFaults(reg)
@@ -108,7 +141,7 @@ func TestFlushCrashTearsAndBricks(t *testing.T) {
 
 	// The device may have gained a torn prefix, but never a full new
 	// frame: the unacknowledged commit must not be durable.
-	b, _ := dev.Contents()
+	b := logBytes(t, dev)
 	frames, valid := ScanLog(b)
 	if len(frames) != 1 {
 		t.Fatalf("device decodes %d frames after crash, want the 1 acked commit", len(frames))
@@ -133,10 +166,10 @@ func TestFlushCrashTearsAndBricks(t *testing.T) {
 	}
 }
 
-// errDevice fails every operation after a configurable number of
-// appends; it models a dying disk rather than an injected fault.
+// errDevice fails every append while fail is set; it models a dying
+// disk rather than an injected fault.
 type errDevice struct {
-	MemDevice
+	*SegmentLog
 	fail bool
 }
 
@@ -144,11 +177,11 @@ func (d *errDevice) Append(b []byte) error {
 	if d.fail {
 		return fmt.Errorf("I/O error")
 	}
-	return d.MemDevice.Append(b)
+	return d.SegmentLog.Append(b)
 }
 
 func TestDeviceErrorBricksWAL(t *testing.T) {
-	dev := &errDevice{}
+	dev := &errDevice{SegmentLog: memLog(t)}
 	w := New(Config{Device: dev})
 	defer w.Close()
 	if err := durableCommit(w, 1); err != nil {
@@ -167,49 +200,15 @@ func TestDeviceErrorBricksWAL(t *testing.T) {
 	}
 }
 
-func TestWriteCheckpointTruncatesLog(t *testing.T) {
-	dev := NewMemDevice()
-	w := New(Config{Device: dev})
-	defer w.Close()
-	for csn := uint64(1); csn <= 4; csn++ {
-		if err := durableCommit(w, csn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ckpt := &Checkpoint{CSN: 4, Tables: []CheckpointTable{{Schema: testSchema()}}}
-	if err := w.WriteCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := dev.Contents()
-	frames, valid := ScanLog(b)
-	if valid != len(b) || len(frames) != 1 || frames[0].Checkpoint == nil {
-		t.Fatalf("after checkpoint the log must be exactly 1 checkpoint frame; got %d frames", len(frames))
-	}
-	if frames[0].Checkpoint.CSN != 4 {
-		t.Fatalf("checkpoint CSN %d, want 4", frames[0].Checkpoint.CSN)
-	}
-	if s := w.Stats(); s.Checkpoints != 1 {
-		t.Fatalf("stats = %+v, want Checkpoints=1", s)
-	}
-	// Commits after the checkpoint append beyond it.
-	if err := durableCommit(w, 5); err != nil {
-		t.Fatal(err)
-	}
-	b, _ = dev.Contents()
-	if frames, _ := ScanLog(b); len(frames) != 2 || frames[1].Commit == nil {
-		t.Fatalf("post-checkpoint commit not appended: %d frames", len(frames))
-	}
-}
-
 func TestAppendSchemaPersistsDDL(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev})
 	defer w.Close()
 	s := testSchema()
 	if err := w.AppendSchema(&s); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := dev.Contents()
+	b := logBytes(t, dev)
 	frames, _ := ScanLog(b)
 	if len(frames) != 1 || frames[0].Schema == nil || frames[0].Schema.Name != "T" {
 		t.Fatalf("DDL frame not persisted: %+v", frames)
@@ -228,8 +227,10 @@ func TestAppendSchemaPersistsDDL(t *testing.T) {
 // verdict, and the device must end with a fully valid log containing
 // exactly the acknowledged commits.
 func TestDurableCommitStress(t *testing.T) {
-	dev := NewMemDevice()
+	dev := memLog(t)
 	w := New(Config{Device: dev, MaxBatch: 4})
+	reg := faultinject.New(5)
+	w.SetFaults(reg)
 
 	const committers = 8
 	const perCommitter = 30
@@ -251,11 +252,14 @@ func TestDurableCommitStress(t *testing.T) {
 	fg.Add(1)
 	go func() {
 		defer fg.Done()
-		boom := errors.New("transient")
+		spec := faultinject.Spec{Point: FaultFlush, Action: faultinject.ActError, Err: errors.New("transient")}
 		for i := 0; i < 20; i++ {
-			w.InjectFailure(boom)
+			if err := reg.Arm(spec); err != nil {
+				t.Error(err)
+				return
+			}
 			time.Sleep(50 * time.Microsecond)
-			w.InjectFailure(nil)
+			reg.Disarm(FaultFlush)
 			time.Sleep(150 * time.Microsecond)
 		}
 	}()
@@ -268,10 +272,7 @@ func TestDurableCommitStress(t *testing.T) {
 	for csn := range acked {
 		want[csn] = true
 	}
-	b, err := dev.Contents()
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := logBytes(t, dev)
 	frames, valid := ScanLog(b)
 	if valid != len(b) {
 		t.Fatalf("log torn after clean close: %d of %d bytes valid", valid, len(b))

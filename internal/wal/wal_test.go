@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sicost/internal/core"
+	"sicost/internal/faultinject"
 )
 
 // commitN commits a bookkeeping-only record (the latency-simulation
@@ -108,11 +109,16 @@ func TestMaxBatchSplitsGroups(t *testing.T) {
 	}
 }
 
+// TestInjectFailure drives the wal/flush fault point as a transient
+// log-disk failure on the latency-only log: every flush fails while it
+// is armed, and the log works again once it is disarmed.
 func TestInjectFailure(t *testing.T) {
 	w := New(Config{FsyncLatency: time.Millisecond})
+	reg := faultinject.New(1)
+	w.SetFaults(reg)
 	defer w.Close()
 	boom := errors.New("log disk failure")
-	w.InjectFailure(boom)
+	failFlushes(t, reg, boom)
 	if err := commitN(w, 1, 1); !errors.Is(err, boom) {
 		t.Fatalf("Commit err = %v, want injected fault", err)
 	}
@@ -120,7 +126,7 @@ func TestInjectFailure(t *testing.T) {
 	if s := w.Stats(); s.FailedFlushes != 1 || s.Flushes != 0 || s.Records != 0 || s.Bytes != 0 {
 		t.Fatalf("stats after failed flush = %+v, want only FailedFlushes=1", s)
 	}
-	w.InjectFailure(nil)
+	reg.Disarm(FaultFlush)
 	if err := commitN(w, 2, 1); err != nil {
 		t.Fatalf("after clearing fault: %v", err)
 	}

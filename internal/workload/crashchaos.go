@@ -14,8 +14,12 @@ import (
 
 // CrashChaosConfig parameterizes a crash/recover chaos run: repeated
 // cycles of workload → injected crash → recovery → audit → resume
-// against one shared log device, the harness behind cmd/smallbank
-// -crash and the durability regression tests.
+// against one shared in-memory segment log, the harness behind
+// cmd/smallbank -crash and the durability regression tests. The
+// checkpoint chain runs live during every burst: the engine's log-growth
+// scheduler streams links concurrently with the commits, full links
+// re-root the chain, and covered segments retire (with archiving) while
+// the workload runs.
 type CrashChaosConfig struct {
 	// Mode and Platform configure the engine (defaults: SnapshotFUW on
 	// PlatformPostgres, the paper's primary platform).
@@ -34,9 +38,9 @@ type CrashChaosConfig struct {
 	// Seed derives every cycle's workload seed and the fault registry's
 	// RNG stream.
 	Seed int64
-	// CheckpointEvery takes a checkpoint after every Nth recovery, so
-	// later cycles exercise checkpoint+redo recovery rather than pure
-	// replay (default 2; negative disables checkpoints entirely).
+	// CheckpointEvery takes an incremental checkpoint after every Nth
+	// recovery, so a link also lands between bursts (default 2; negative
+	// disables it — the in-burst scheduler still runs).
 	CheckpointEvery int
 	// Async opts every burst into asynchronous commit
 	// (synchronous_commit=off): commits publish before they are durable,
@@ -47,19 +51,10 @@ type CrashChaosConfig struct {
 	// a zero-delta mix so money conservation holds on every committed
 	// prefix.
 	Async bool
-	// SegmentSize > 0 replaces the flat log device with a segmented log
-	// rotated at SegmentSize bytes, and adds the segment-rotation crash
-	// point to the rotation.
+	// SegmentSize is the log's rotation threshold in bytes (default
+	// DefaultCrashSegmentSize, small enough that every burst rotates
+	// and retires several segments).
 	SegmentSize int64
-	// Fuzzy runs the fuzzy incremental checkpoint machinery during the
-	// bursts: the engine's log-growth scheduler checkpoints with a small
-	// threshold (so links land inside bursts, concurrent with commits),
-	// segmented runs retire covered segments online with archiving, and
-	// the crash rotation gains the mid-delta (wal/ckpt-delta) and
-	// mid-retire (wal/retire) points. The per-recovery checkpoint
-	// cadence uses CheckpointIncremental instead of the stop-the-world
-	// Checkpoint.
-	Fuzzy bool
 	// TxDeadline > 0 stamps every transaction with a default deadline
 	// and adds FsyncLatency of simulated device-sync time, so deadlines
 	// expire inside flush-group waits: WAL.Withdraw races the flush
@@ -86,7 +81,14 @@ func (c *CrashChaosConfig) defaults() {
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 2
 	}
+	if c.SegmentSize <= 0 {
+		c.SegmentSize = DefaultCrashSegmentSize
+	}
 }
+
+// DefaultCrashSegmentSize is the crash-chaos log's rotation threshold
+// when CrashChaosConfig.SegmentSize is zero.
+const DefaultCrashSegmentSize = 4096
 
 // CrashCycle records one crash/recover round.
 type CrashCycle struct {
@@ -115,11 +117,10 @@ type CrashCycle struct {
 	// burst quiesced: the highest CSN whose commit was acknowledged
 	// durable. Recovery must never land below it.
 	DurableSeq uint64
-	// Segments is the number of log segments recovery scanned (1 for a
-	// flat device).
+	// Segments is the number of log segments recovery scanned.
 	Segments int
-	// ChainLinks is the number of fuzzy-checkpoint delta links recovery
-	// folded (0 when it restored a legacy full-image checkpoint).
+	// ChainLinks is the number of checkpoint-chain links recovery folded,
+	// root included (0 when the log held no complete full link).
 	ChainLinks int
 	// Checkpointed reports whether a checkpoint was taken after this
 	// cycle's recovery.
@@ -159,37 +160,28 @@ func (r *CrashChaosReport) CrashesFired() uint64 {
 // crashPoints is the rotation of crash sites: a torn mid-flush device
 // write, power dying inside the coalesced-sync window, a death inside
 // the WAL commit window, a death at the head of commit stamping, a
-// death mid-statement while holding row locks, and a death at
-// transaction begin. Segmented runs add a crash inside segment
-// rotation, between sealing the full segment and opening its
-// successor. Together they cover the log tail in every interesting
-// state.
-func (c *CrashChaosConfig) crashPoints() []string {
-	pts := []string{
-		wal.FaultFlush,
-		wal.FaultSync,
-		wal.FaultCommit,
-		engine.FaultCommitStamp,
-		storage.FaultRowWrite,
-		engine.FaultBegin,
-	}
-	if c.SegmentSize > 0 {
-		pts = append(pts, wal.FaultRotate)
-	}
-	if c.Fuzzy {
-		pts = append(pts, wal.FaultCkptDelta)
-		if c.SegmentSize > 0 {
-			pts = append(pts, wal.FaultRetire)
-		}
-	}
-	return pts
+// death mid-statement while holding row locks, a death at transaction
+// begin, a crash inside segment rotation (between sealing the full
+// segment and opening its successor), a death mid-way through a chain
+// link's rows, and a death mid-way through segment retirement.
+// Together they cover the log tail in every interesting state.
+var crashPoints = []string{
+	wal.FaultFlush,
+	wal.FaultSync,
+	wal.FaultCommit,
+	engine.FaultCommitStamp,
+	storage.FaultRowWrite,
+	engine.FaultBegin,
+	wal.FaultRotate,
+	wal.FaultCkptDelta,
+	wal.FaultRetire,
 }
 
 // crashSpec picks cycle's crash site and moment: one deterministic
 // panic after a varying number of hits, so crashes land at different
 // depths of the burst.
-func crashSpec(points []string, cycle int) faultinject.Spec {
-	p := points[cycle%len(points)]
+func crashSpec(cycle int) faultinject.Spec {
+	p := crashPoints[cycle%len(crashPoints)]
 	after := uint64(2 + 5*(cycle%7))
 	// The checkpoint-machinery points fire a handful of times per burst
 	// (once per delta batch streamed / segment retired), not hundreds:
@@ -287,7 +279,7 @@ func diffState(want, got dbState) string {
 }
 
 // RunCrashChaos drives the durability contract end to end: load a bank
-// on a durable in-memory log device, then repeatedly run a short
+// on a durable in-memory segment log, then repeatedly run a short
 // SmallBank burst with one crash fault armed, kill the instance,
 // recover a fresh instance from the device, and audit it —
 //
@@ -301,25 +293,18 @@ func diffState(want, got dbState) string {
 //     the crashed instance's published sequence, and the revived
 //     sequencer resumes exactly at the recovered mark;
 //   - recovery is idempotent: recovering an untouched copy of the
-//     pre-repair device image yields the identical state.
+//     pre-repair log image yields the identical state.
 //
-// Checkpoints are taken on a configurable cadence so recovery
-// alternates between pure redo and checkpoint+redo. After the last
-// cycle a fault-free burst must still commit, proving the survivor
-// resumes normal service. Harness failures (a burst that cannot run)
+// Recovery folds the checkpoint chain and replays the redo after it.
+// After the last cycle a fault-free burst must still commit, proving
+// the survivor resumes normal service. Harness failures (a burst that cannot run)
 // return an error; broken invariants are reported as Violations.
 func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 	cfg.defaults()
 
-	var dev wal.LogDevice
-	if cfg.SegmentSize > 0 {
-		sl, err := wal.NewMemSegmentLog(cfg.SegmentSize)
-		if err != nil {
-			return nil, err
-		}
-		dev = sl
-	} else {
-		dev = wal.NewMemDevice()
+	dev, err := wal.NewMemSegmentLog(cfg.SegmentSize)
+	if err != nil {
+		return nil, err
 	}
 	reg := faultinject.New(cfg.Seed)
 	ecfg := engine.Config{
@@ -329,17 +314,12 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		Faults:            reg,
 		AsyncCommit:       cfg.Async,
 		DefaultTxDeadline: cfg.TxDeadline,
-	}
-	if cfg.Fuzzy {
 		// Small threshold so the scheduler checkpoints inside every
 		// burst, and a short chain so full links re-root (and retirement
 		// runs) several times over the run.
-		ecfg.CheckpointLogBytes = 4096
-		ecfg.CheckpointChainMax = 3
-		if cfg.SegmentSize > 0 {
-			ecfg.RetireSegments = true
-			ecfg.ArchiveDir = "archive"
-		}
+		CheckpointLogBytes: 4096,
+		CheckpointChainMax: 3,
+		ArchiveDir:         "archive",
 	}
 
 	db := engine.Open(ecfg)
@@ -356,8 +336,8 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		db.Close()
 		return nil, err
 	}
-	// Compact the load into a checkpoint so the first cycles replay
-	// burst commits, not the loader's.
+	// Re-root the chain over the load so the first cycles replay burst
+	// commits, not the loader's.
 	if _, err := db.Checkpoint(); err != nil {
 		db.Close()
 		return nil, err
@@ -383,11 +363,10 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		MaxRetries:  20,
 	}
 
-	points := cfg.crashPoints()
 	var ledger int64
 	for i := 0; i < cfg.Cycles; i++ {
 		cyc := CrashCycle{Cycle: i}
-		spec := crashSpec(points, i)
+		spec := crashSpec(i)
 		cyc.Point = spec.Point
 		if err := reg.Arm(spec); err != nil {
 			db.Close()
@@ -424,11 +403,11 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 		crashed := db
 		db.Close()
 
-		// Pre-repair device image for the idempotence audit, taken before
+		// Pre-repair log image for the idempotence audit, taken before
 		// Recover may truncate a torn tail in place.
-		img, err := dev.Contents()
+		img, err := dev.Segments()
 		if err != nil {
-			return nil, fmt.Errorf("workload: crash cycle %d: device read: %w", i, err)
+			return nil, fmt.Errorf("workload: crash cycle %d: log read: %w", i, err)
 		}
 
 		db2, rrep, err := engine.Recover(dev, ecfg)
@@ -492,7 +471,11 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 
 		// Idempotence: recovering the untouched pre-repair image must
 		// land in the identical state.
-		db3, rrep3, err := engine.Recover(wal.NewMemDeviceBytes(img), ecfg)
+		imgLog, err := wal.NewMemSegmentLogFrom(img, cfg.SegmentSize)
+		if err != nil {
+			return nil, fmt.Errorf("workload: crash cycle %d: log copy: %w", i, err)
+		}
+		db3, rrep3, err := engine.Recover(imgLog, ecfg)
 		if err != nil {
 			violatef("cycle %d (%s): re-recovery of pre-repair image failed: %v", i, cyc.Point, err)
 		} else {
@@ -513,11 +496,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosReport, error) {
 
 		db = db2
 		if cfg.CheckpointEvery > 0 && (i+1)%cfg.CheckpointEvery == 0 {
-			ckpt := db.Checkpoint
-			if cfg.Fuzzy {
-				ckpt = db.CheckpointIncremental
-			}
-			if _, err := ckpt(); err != nil {
+			if _, err := db.CheckpointIncremental(); err != nil {
 				violatef("cycle %d (%s): checkpoint after recovery failed: %v", i, cyc.Point, err)
 			} else {
 				cyc.Checkpointed = true
