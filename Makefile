@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test short vet race stress fuzz fuzzsmoke bench chaos crash walfuzz checkfuzz checksmoke docs trace-smoke overload servefuzz servechaos ci
+.PHONY: all build test short vet race stress fuzz fuzzsmoke bench chaos crash walfuzz checkfuzz checksmoke docs trace-smoke overload servefuzz servechaos nodesmoke ci
 
 all: build test
 
@@ -153,4 +153,19 @@ servechaos:
 	SERVECHAOS_FULL=1 $(GO) test -count=1 -timeout 600s -run TestServerChaos ./internal/workload
 	$(GO) test -race -count=1 ./internal/server
 
-ci: build docs test race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke overload servefuzz servechaos
+# Node smoke: every binary that assembles its engine through
+# internal/node, built once. A durable smallbank run, then a second run
+# on the same log that must recover instead of loading; a one-rep,
+# two-MPL sibench figure; and sisql rejecting an unknown platform with
+# exit status 2.
+nodesmoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/" ./cmd/smallbank ./cmd/sibench ./cmd/sisql; \
+	"$$tmp/smallbank" -wal "$$tmp/wal" -customers 300 -hotspot 20 -mpl 4 -ramp 50ms -measure 200ms -seed 7 > /dev/null 2>&1; \
+	"$$tmp/smallbank" -wal "$$tmp/wal" -hotspot 20 -mpl 4 -ramp 50ms -measure 200ms -seed 8 2>&1 > /dev/null \
+		| grep 'recovered .* 300 customers'; \
+	"$$tmp/sibench" -exp fig5a -reps 1 -mpls 1,5 -customers 300 -ramp 50ms -measure 200ms -q > /dev/null; \
+	st=0; "$$tmp/sisql" -platform oracle < /dev/null > /dev/null 2>&1 || st=$$?; \
+	if [ "$$st" -ne 2 ]; then echo "sisql -platform oracle exited $$st, want 2"; exit 1; fi
+
+ci: build docs test race stress fuzzsmoke chaos crash walfuzz checkfuzz checksmoke trace-smoke overload servefuzz servechaos nodesmoke

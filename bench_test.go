@@ -11,7 +11,7 @@ import (
 
 	"sicost"
 	"sicost/internal/engine"
-	"sicost/internal/experiments"
+	"sicost/internal/node"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
 	"sicost/internal/workload"
@@ -32,20 +32,13 @@ func benchWorkload(b *testing.B, engCfg engine.Config, s *smallbank.Strategy,
 	var totalTPS float64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		measured := engCfg.Res
-		loadCfg := engCfg
-		loadCfg.Res.VirtualCPUs = 0
-		db := engine.Open(loadCfg)
-		if err := smallbank.CreateSchema(db); err != nil {
+		n, err := node.Open(node.Options{Engine: engCfg, Customers: benchCustomers, Seed: 7})
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: benchCustomers, Seed: 7}); err != nil {
-			b.Fatal(err)
-		}
-		db.SetResources(measured)
 		b.StartTimer()
 
-		res, err := workload.Run(db, workload.Config{
+		res, err := workload.Run(n.DB, workload.Config{
 			Strategy: s, MPL: mpl, Customers: benchCustomers,
 			HotspotSize: hotspot, HotspotProb: 0.9, Mix: mix,
 			Ramp: 20 * time.Millisecond, Measure: 150 * time.Millisecond,
@@ -57,7 +50,7 @@ func benchWorkload(b *testing.B, engCfg engine.Config, s *smallbank.Strategy,
 		totalTPS += res.TPS
 
 		b.StopTimer()
-		db.Close()
+		n.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(totalTPS/float64(b.N), "tps")
@@ -108,7 +101,7 @@ func BenchmarkFig4(b *testing.B) {
 		smallbank.StrategySI, smallbank.StrategyMaterializeALL, smallbank.StrategyPromoteALL,
 	} {
 		b.Run(s.Name, func(b *testing.B) {
-			benchWorkload(b, experiments.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
+			benchWorkload(b, node.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
 		})
 	}
 }
@@ -123,10 +116,10 @@ func BenchmarkFig5(b *testing.B) {
 		smallbank.StrategyMaterializeBW, smallbank.StrategyPromoteBWUpd,
 	} {
 		b.Run(s.Name+"/MPL1", func(b *testing.B) {
-			benchWorkload(b, experiments.PostgresDB(benchScale), s, 1, 200, workload.UniformMix())
+			benchWorkload(b, node.PostgresDB(benchScale), s, 1, 200, workload.UniformMix())
 		})
 		b.Run(s.Name+"/MPL20", func(b *testing.B) {
-			benchWorkload(b, experiments.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
+			benchWorkload(b, node.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
 		})
 	}
 }
@@ -138,7 +131,7 @@ func BenchmarkFig6(b *testing.B) {
 		smallbank.StrategySI, smallbank.StrategyPromoteBWUpd,
 	} {
 		b.Run(s.Name, func(b *testing.B) {
-			benchWorkload(b, experiments.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
+			benchWorkload(b, node.PostgresDB(benchScale), s, 20, 200, workload.UniformMix())
 		})
 	}
 }
@@ -153,7 +146,7 @@ func BenchmarkFig7(b *testing.B) {
 		smallbank.StrategyMaterializeALL,
 	} {
 		b.Run(s.Name, func(b *testing.B) {
-			benchWorkload(b, experiments.PostgresDB(benchScale), s, 20, 10, workload.BalanceHeavyMix(0.6))
+			benchWorkload(b, node.PostgresDB(benchScale), s, 20, 10, workload.BalanceHeavyMix(0.6))
 		})
 	}
 }
@@ -166,7 +159,7 @@ func BenchmarkFig8(b *testing.B) {
 		smallbank.StrategyPromoteWTSfu, smallbank.StrategyPromoteWTUpd,
 	} {
 		b.Run(s.Name, func(b *testing.B) {
-			benchWorkload(b, experiments.CommercialDB(benchScale), s, 20, 200, workload.UniformMix())
+			benchWorkload(b, node.CommercialDB(benchScale), s, 20, 200, workload.UniformMix())
 		})
 	}
 }
@@ -178,7 +171,7 @@ func BenchmarkFig9(b *testing.B) {
 		smallbank.StrategyPromoteBWSfu, smallbank.StrategyPromoteBWUpd,
 	} {
 		b.Run(s.Name, func(b *testing.B) {
-			benchWorkload(b, experiments.CommercialDB(benchScale), s, 20, 200, workload.UniformMix())
+			benchWorkload(b, node.CommercialDB(benchScale), s, 20, 200, workload.UniformMix())
 		})
 	}
 }

@@ -12,8 +12,9 @@
 //   - every `-flag` token in inline code spans, and on `./cmd/...`
 //     invocation lines inside fenced blocks, must be a flag some
 //     command actually registers (flag.String/Bool/... in cmd/);
-//   - every `sicost_*` expvar name mentioned must be published by a
-//     command (a "sicost_..." string literal in cmd/ sources);
+//   - every `sicost_*` expvar name mentioned must be published (a
+//     "sicost_..." string literal in the non-test sources of cmd/ or
+//     of internal/node, which owns the shared expvar registry);
 //   - every fault-point name mentioned in an inline code span (a
 //     slash-separated lowercase path like `wal/commit` whose first
 //     segment is a namespace some Fault* constant declares) must match
@@ -168,7 +169,7 @@ func lintDocs(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	flags, metrics, err := collectCmdDecls(filepath.Join(root, "cmd"))
+	flags, metrics, err := collectDecls(filepath.Join(root, "cmd"), filepath.Join(root, "internal", "node"))
 	if err != nil {
 		return nil, err
 	}
@@ -191,31 +192,36 @@ func lintDocs(root string) ([]string, error) {
 	return problems, nil
 }
 
-// collectCmdDecls scans cmd/ sources for flag registrations
-// (flag.String("name", ...) and friends) and published sicost_*
-// expvar names, the ground truth the docs are checked against.
-func collectCmdDecls(cmdDir string) (flags, metrics map[string]bool, err error) {
+// collectDecls scans the non-test Go sources under dirs for flag
+// registrations (flag.String("name", ...) and friends) and published
+// sicost_* expvar names, the ground truth the docs are checked against.
+func collectDecls(dirs ...string) (flags, metrics map[string]bool, err error) {
 	flags, metrics = map[string]bool{}, map[string]bool{}
-	if _, serr := os.Stat(cmdDir); os.IsNotExist(serr) {
-		return flags, metrics, nil
-	}
-	err = filepath.WalkDir(cmdDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
+	for _, dir := range dirs {
+		if _, serr := os.Stat(dir); os.IsNotExist(serr) {
+			continue
 		}
-		b, err := os.ReadFile(path)
+		err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range flagDeclRe.FindAllStringSubmatch(string(b), -1) {
+				flags[m[1]] = true
+			}
+			for _, m := range metricDeclRe.FindAllStringSubmatch(string(b), -1) {
+				metrics[m[1]] = true
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
-		for _, m := range flagDeclRe.FindAllStringSubmatch(string(b), -1) {
-			flags[m[1]] = true
-		}
-		for _, m := range metricDeclRe.FindAllStringSubmatch(string(b), -1) {
-			metrics[m[1]] = true
-		}
-		return nil
-	})
-	return flags, metrics, err
+	}
+	return flags, metrics, nil
 }
 
 // collectFaultDecls scans the module's non-test Go sources for

@@ -27,9 +27,7 @@ import (
 	"strings"
 
 	"sicost/internal/advisor"
-	"sicost/internal/core"
-	"sicost/internal/engine"
-	"sicost/internal/experiments"
+	"sicost/internal/node"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
 )
@@ -150,25 +148,11 @@ func runAdvise(progs []*sdg.Program, platName string, mpl, hotspot int) error {
 	for _, p := range progs {
 		weights[p.Name] = 1.0 / float64(len(progs))
 	}
-	var plat advisor.Platform
-	switch platName {
-	case "postgres":
-		plat = advisor.Platform{
-			Name:  core.PlatformPostgres,
-			Res:   experiments.PostgresResources(1),
-			Fsync: experiments.LogDevice(1).FsyncLatency,
-			Cost:  engine.DefaultCostModel(core.PlatformPostgres),
-		}
-	case "commercial":
-		plat = advisor.Platform{
-			Name:  core.PlatformCommercial,
-			Res:   experiments.CommercialResources(1),
-			Fsync: experiments.LogDevice(1).FsyncLatency,
-			Cost:  engine.DefaultCostModel(core.PlatformCommercial),
-		}
-	default:
-		return fmt.Errorf("unknown platform %q", platName)
+	engCfg, err := node.Config(platName, "si", 1)
+	if err != nil {
+		return err
 	}
+	plat := advisor.PlatformOf(engCfg)
 	preds, err := advisor.Advise(progs, advisor.Workload{
 		Weights: weights, HotspotSize: hotspot, HotspotProb: 0.9, MPL: mpl,
 	}, plat)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"sicost/internal/experiments"
+	"sicost/internal/node"
 )
 
 func main() {
@@ -53,6 +54,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	fmt.Fprintln(os.Stderr, node.Costs(*scale))
 	cfg := experiments.Config{
 		Scale: *scale, Ramp: *ramp, Measure: *measure,
 		Reps: *reps, Customers: *customers, Seed: *seed,

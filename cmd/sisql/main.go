@@ -27,8 +27,7 @@ import (
 	"os"
 	"strings"
 
-	"sicost/internal/core"
-	"sicost/internal/engine"
+	"sicost/internal/node"
 	"sicost/internal/server"
 	"sicost/internal/smallbank"
 )
@@ -41,31 +40,19 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := engine.Config{Mode: core.SnapshotFUW, Platform: core.PlatformPostgres}
-	switch *mode {
-	case "si":
-	case "2pl":
-		cfg.Mode = core.Strict2PL
-	case "ssi":
-		cfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "sisql: unknown mode %q\n", *mode)
+	cfg, err := node.Config(*platform, *mode, 0)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sisql:", err)
 		os.Exit(2)
 	}
-	if *platform == "commercial" {
-		cfg.Platform = core.PlatformCommercial
-	}
-
-	db := engine.Open(cfg)
-	defer db.Close()
-	if err := smallbank.CreateSchema(db); err != nil {
+	fmt.Fprintln(os.Stderr, node.Costs(0))
+	n, err := node.Open(node.Options{Engine: cfg, Customers: *customers, Seed: 1})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sisql:", err)
 		os.Exit(1)
 	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: 1}); err != nil {
-		fmt.Fprintln(os.Stderr, "sisql:", err)
-		os.Exit(1)
-	}
+	defer n.Close()
+	db := n.DB
 	fmt.Printf("sicost SQL shell — %s/%s, SmallBank with %d customers (names %q..)\n",
 		cfg.Mode, cfg.Platform, *customers, smallbank.CustomerName(0))
 	fmt.Println(`dialect: SELECT/UPDATE/INSERT/DELETE with "WHERE col = value", BEGIN/COMMIT/ROLLBACK; \q quits`)

@@ -12,7 +12,7 @@
 //	sisqld -addr :5433 -mode ssi
 //	sisqld -addr 127.0.0.1:0 -customers 100      # ephemeral port, printed on stdout
 //	sisqld -max-conns 64 -idle-timeout 30s -stmt-deadline 2s
-//	sisqld -pprof localhost:6060                 # sicost_server expvar + pprof
+//	sisqld -pprof localhost:6060                 # sicost_server/sicost_wal expvars + pprof
 //
 // Talk to it with netcat:
 //
@@ -20,22 +20,16 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the -pprof server
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"sicost/internal/core"
-	"sicost/internal/engine"
-	"sicost/internal/experiments"
+	"sicost/internal/node"
 	"sicost/internal/server"
-	"sicost/internal/smallbank"
 )
 
 func main() {
@@ -55,23 +49,22 @@ func main() {
 	)
 	flag.Parse()
 
-	engCfg, err := servedConfig(*platform, *mode)
+	// Measured costs: the modelled delays are the workload harness's
+	// business, not an interactive server's.
+	engCfg, err := node.Config(*platform, *mode, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sisqld:", err)
 		os.Exit(2)
 	}
 	engCfg.LockWaitTimeout = *lockTimeout
 
-	db := engine.Open(engCfg)
-	if err := smallbank.CreateSchema(db); err != nil {
+	fmt.Fprintln(os.Stderr, node.Costs(0))
+	n, err := node.Open(node.Options{Engine: engCfg, Customers: *customers, Seed: *seed, Progress: os.Stderr})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sisqld:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "loading %d customers...\n", *customers)
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: *seed}); err != nil {
-		fmt.Fprintln(os.Stderr, "sisqld:", err)
-		os.Exit(1)
-	}
+	db := n.DB
 
 	srv := server.New(server.Config{
 		DB:                db,
@@ -83,17 +76,10 @@ func main() {
 	})
 
 	if *pprofAddr != "" {
-		// Live server gauges and counters next to the engine's transaction
-		// metrics: `curl host/debug/vars` shows sessions, sheds, drains and
+		// Live server gauges and counters next to the engine's: `curl
+		// host/debug/vars` shows sessions, sheds, drains and
 		// aborted-on-disconnect counts (see docs/SERVER.md).
-		expvar.Publish("sicost_server", expvar.Func(func() any { return srv.Stats() }))
-		expvar.Publish("sicost_txn_metrics", expvar.Func(func() any { return db.TxnMetrics() }))
-		go func() {
-			fmt.Fprintf(os.Stderr, "pprof/expvar: http://%s/debug/pprof http://%s/debug/vars\n", *pprofAddr, *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "sisqld: pprof server:", err)
-			}
-		}()
+		n.Serve(*pprofAddr, map[string]func() any{"sicost_server": func() any { return srv.Stats() }})
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -120,7 +106,7 @@ func main() {
 		os.Exit(1)
 	}
 	<-done
-	db.Close()
+	n.Close()
 
 	st := srv.Stats()
 	fmt.Printf("sisqld: drained: %d conns served, %d drained, %d hard-closed, %d txns aborted on disconnect, %d shed\n",
@@ -134,34 +120,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sisqld: transaction leak: %d in flight after drain\n", n)
 		os.Exit(1)
 	}
-}
-
-// servedConfig is the engine configuration sisqld serves: the platform
-// profile's semantics (cost model, SFU rules) under the chosen mode, on
-// free hardware. The simulated per-operation delays model the paper's
-// measured platforms, which is workload-harness business, not an
-// interactive server's — and the modelled fsync would put a sleep on
-// every updating commit while no log device is attached to persist it.
-func servedConfig(platform, mode string) (engine.Config, error) {
-	var cfg engine.Config
-	switch platform {
-	case "postgres":
-		cfg = experiments.PostgresDB(1.0)
-	case "commercial":
-		cfg = experiments.CommercialDB(1.0)
-	default:
-		return cfg, fmt.Errorf("unknown platform %q", platform)
-	}
-	switch mode {
-	case "si":
-	case "2pl":
-		cfg.Mode = core.Strict2PL
-	case "ssi":
-		cfg.Mode = core.SerializableSI
-	default:
-		return cfg, fmt.Errorf("unknown mode %q", mode)
-	}
-	cfg.Res.VirtualCPUs = 0
-	cfg.WAL.FsyncLatency = 0
-	return cfg, nil
 }

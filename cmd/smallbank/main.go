@@ -25,23 +25,19 @@
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the -pprof server
 	"os"
 	"time"
 
 	"sicost/internal/admission"
 	"sicost/internal/core"
 	"sicost/internal/engine"
-	"sicost/internal/experiments"
 	"sicost/internal/faultinject"
+	"sicost/internal/node"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/smallbank"
 	"sicost/internal/trace"
-	"sicost/internal/wal"
 	"sicost/internal/workload"
 )
 
@@ -114,24 +110,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var engCfg engine.Config
-	switch *platform {
-	case "postgres":
-		engCfg = experiments.PostgresDB(*scale)
-	case "commercial":
-		engCfg = experiments.CommercialDB(*scale)
-	default:
-		fmt.Fprintf(os.Stderr, "smallbank: unknown platform %q\n", *platform)
-		os.Exit(2)
-	}
-	switch *mode {
-	case "si":
-	case "2pl":
-		engCfg.Mode = core.Strict2PL
-	case "ssi":
-		engCfg.Mode = core.SerializableSI
-	default:
-		fmt.Fprintf(os.Stderr, "smallbank: unknown mode %q\n", *mode)
+	engCfg, err := node.Config(*platform, *mode, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smallbank:", err)
 		os.Exit(2)
 	}
 	if !strategy.SoundOn(engCfg.Platform) && strategy.GuaranteesSerializable() {
@@ -171,15 +152,8 @@ func main() {
 	}
 
 	engCfg.LockWaitTimeout = *lockTimeout
-	if *admit {
-		acfg := admission.Config{}
-		if *admitLimit > 0 {
-			acfg.InitialLimit = *admitLimit
-		}
-		if *admitQueue > 0 {
-			acfg.MaxQueue = *admitQueue
-		}
-		engCfg.Admission = &acfg
+	if *admit { // zero fields take the controller defaults
+		engCfg.Admission = &admission.Config{InitialLimit: *admitLimit, MaxQueue: *admitQueue}
 	}
 	var faults *faultinject.Registry
 	if *chaos {
@@ -195,100 +169,28 @@ func main() {
 		engCfg.Tracer = rec
 	}
 
-	// Load on free hardware, then install the measured profile.
-	measured := engCfg.Res
-	engCfg.Res.VirtualCPUs = 0
-
 	engCfg.AsyncCommit = *walAsync
 
-	var dev *wal.SegmentLog
-	if *walPath != "" {
-		dev, err = wal.OpenSegmentLog(*walPath, *walSegSize)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-		defer dev.Close()
-		engCfg.WAL.Device = dev
+	fmt.Fprintln(os.Stderr, node.Costs(*scale))
+	n, err := node.Open(node.Options{
+		Engine: engCfg, Dir: *walPath, SegmentSize: *walSegSize,
+		Customers: *customers, Seed: *seed, Progress: os.Stderr,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smallbank:", err)
+		os.Exit(1)
 	}
-
-	var db *engine.DB
-	if dev != nil && dev.Size() > 0 {
-		// The log already holds a database image: rebuild it instead of
-		// loading. The customer population is whatever the original run
-		// loaded, so derive -customers from the recovered Account table.
-		var rep *engine.RecoveryReport
-		db, rep, err = engine.Recover(dev, engCfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank: recover:", err)
-			os.Exit(1)
-		}
-		accounts := 0
-		if err := db.ScanLatest(smallbank.TableAccount, func(core.Value, core.Record) bool {
-			accounts++
-			return true
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-		*customers = accounts
-		if *hotspot > *customers {
-			*hotspot = *customers
-		}
-		fmt.Fprintf(os.Stderr,
-			"recovered %s: %d segments, %d checkpoint rows, %d commits replayed, %d torn bytes truncated, CSN %d, %d customers\n",
-			*walPath, rep.Log.Segments, rep.CheckpointRows, rep.ReplayedCommits, rep.Log.TornBytes, rep.HighCSN, *customers)
-	} else {
-		db = engine.Open(engCfg)
-		if err := smallbank.CreateSchema(db); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "loading %d customers...\n", *customers)
-		if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: *customers, Seed: *seed}); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
+	defer n.Close()
+	db := n.DB
+	if n.Recovered != nil {
+		// The population is whatever the original run loaded.
+		*customers = n.Customers
+		*hotspot = min(*hotspot, *customers)
 	}
-	defer db.Close()
-	db.SetResources(measured)
 	// Armed after the bulk load: the loader's big batch transactions
 	// should not burn the measured run's per-transaction budget.
 	if *txDeadline > 0 {
 		db.SetDefaultTxDeadline(*txDeadline)
-	}
-
-	if *pprofAddr != "" {
-		// Standard pprof endpoints plus the engine's transaction metrics
-		// as an expvar, so `curl host/debug/vars` shows live counters.
-		expvar.Publish("sicost_txn_metrics", expvar.Func(func() any { return db.TxnMetrics() }))
-		// Durability-lag gauge: how far published commits run ahead of the
-		// device (always 0 in sync mode once quiescent; the async mode's
-		// exposure window otherwise), plus the raw flush/sync counters.
-		expvar.Publish("sicost_wal", expvar.Func(func() any {
-			durable, commit := db.DurableSeq(), db.CommitSeq()
-			return map[string]any{
-				"CommitSeq":     commit,
-				"DurableSeq":    durable,
-				"DurabilityLag": commit - durable,
-				"Stats":         db.WAL().Stats(),
-				// Fuzzy-checkpoint gauges: chain shape, dirty-set size,
-				// cumulative commit-barrier pause (see OBSERVABILITY.md §9).
-				"Checkpoint": db.CheckpointStats(),
-			}
-		}))
-		if lim := db.Admission(); lim != nil {
-			// Live admission gauges: concurrency limit, queue depth, shed
-			// and deadline-expired counts, breaker state (see
-			// OBSERVABILITY.md, sicost_admission).
-			expvar.Publish("sicost_admission", expvar.Func(func() any { return lim.Stats() }))
-		}
-		go func() {
-			fmt.Fprintf(os.Stderr, "pprof/expvar: http://%s/debug/pprof http://%s/debug/vars\n", *pprofAddr, *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "smallbank: pprof server:", err)
-			}
-		}()
 	}
 
 	// A violation verdict fails the run only when the configuration
@@ -304,9 +206,13 @@ func main() {
 		// reads legitimately see versions newer than the begin point, so
 		// the SI read/write rules only apply to the snapshot-based modes.
 		ochk = onlinecheck.New(onlinecheck.Config{SIRules: engCfg.Mode != core.Strict2PL})
-		if *pprofAddr != "" {
-			expvar.Publish("sicost_onlinecheck", expvar.Func(func() any { return ochk.Stats() }))
+	}
+	if *pprofAddr != "" {
+		extra := map[string]func() any{}
+		if ochk != nil {
+			extra["sicost_onlinecheck"] = func() any { return ochk.Stats() }
 		}
+		n.Serve(*pprofAddr, extra)
 	}
 
 	mix := workload.UniformMix()
@@ -380,8 +286,9 @@ func main() {
 	fmt.Printf("throughput: %.1f TPS (%d commits, %d aborts in %v)\n",
 		res.TPS, res.Commits, res.Aborts, res.Measured)
 	fmt.Printf("mean response time: %v\n\n", res.MeanLatency.Round(time.Microsecond))
+	// The per-type p95 is interpolated inside a log2 histogram bucket.
 	fmt.Printf("%-18s %10s %10s %10s %10s %12s %10s\n",
-		"type", "commits", "serial", "deadlock", "app", "abort-rate", "p95")
+		"type", "commits", "serial", "deadlock", "app", "abort-rate", "p95(log2)")
 	for t := 0; t < smallbank.NumTxnTypes; t++ {
 		st := &res.PerType[t]
 		fmt.Printf("%-18s %10d %10d %10d %10d %11.2f%% %10v\n",
@@ -406,7 +313,7 @@ func main() {
 		fmt.Printf("async commit: durable CSN %d / committed CSN %d after drain\n",
 			db.DurableSeq(), db.CommitSeq())
 	}
-	if dev != nil {
+	if n.Log != nil {
 		// Seal the run with one more link — an incremental one when the
 		// scheduler ran, else a full re-root that retires the covered
 		// segments — and report the chain the next -wal run will fold.
@@ -422,7 +329,7 @@ func main() {
 		cs := db.CheckpointStats()
 		ws = db.WAL().Stats()
 		fmt.Printf("checkpoint: CSN %d, chain %d links (%d full re-roots of %d total), %d bytes live in %s\n",
-			csn, cs.ChainLinks, cs.FullLinks, cs.Links, dev.Size(), *walPath)
+			csn, cs.ChainLinks, cs.FullLinks, cs.Links, n.Log.Size(), *walPath)
 		fmt.Printf("checkpoint pauses: %v total (%v last); retired %d segments, archived %d\n",
 			time.Duration(cs.PauseNS).Round(time.Microsecond),
 			time.Duration(cs.LastPauseNS).Round(time.Microsecond),
@@ -464,17 +371,7 @@ func main() {
 			c.Quantile(0.95).Round(time.Microsecond), c.Max().Round(time.Microsecond))
 	}
 
-	if rec != nil {
-		rec.SetEnabled(false)
-		// With -check attached, the run's subscription consumed the rings
-		// and handed the delivered stream back via Result.TraceEvents;
-		// only post-run events (the checkpoint) are still in the rings.
-		events := append(res.TraceEvents, rec.Drain()...)
-		if err := writeTrace(events, rec.Dropped(), *tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-	}
+	finishTrace(rec, res.TraceEvents, *tracePath)
 
 	if res.Check != nil {
 		fmt.Printf("\nonline check: %s", res.Check.Describe())
@@ -582,14 +479,7 @@ func runOpenSystem(db *engine.DB, r openRun) {
 	fmt.Printf("\nWAL: %d flushes, %d syncs, %d records (avg batch %.1f), %d bytes\n",
 		ws.Flushes, ws.Syncs, ws.Records, ws.AvgBatch(), ws.Bytes)
 
-	if r.rec != nil {
-		r.rec.SetEnabled(false)
-		events := append(res.TraceEvents, r.rec.Drain()...)
-		if err := writeTrace(events, r.rec.Dropped(), r.tracePath); err != nil {
-			fmt.Fprintln(os.Stderr, "smallbank:", err)
-			os.Exit(1)
-		}
-	}
+	finishTrace(r.rec, res.TraceEvents, r.tracePath)
 
 	if res.Check != nil {
 		fmt.Printf("\nonline check: %s", res.Check.Describe())
@@ -652,6 +542,20 @@ func runCrashChaos(mode core.CCMode, platform core.Platform, cycles int, seed in
 		os.Exit(1)
 	}
 	fmt.Println("durability contract: held across all cycles")
+}
+
+// finishTrace stops the recorder (nil without -trace) and writes the
+// stream the run delivered (with -check, the checker consumed the rings)
+// plus what the rings still hold, exiting non-zero on failure.
+func finishTrace(rec *trace.Recorder, delivered []trace.Event, path string) {
+	if rec == nil {
+		return
+	}
+	rec.SetEnabled(false)
+	if err := writeTrace(append(delivered, rec.Drain()...), rec.Dropped(), path); err != nil {
+		fmt.Fprintln(os.Stderr, "smallbank:", err)
+		os.Exit(1)
+	}
 }
 
 // writeTrace sanity-checks the captured stream against the lifecycle

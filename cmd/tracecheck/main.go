@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 
+	"sicost/internal/core"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/trace"
 )
@@ -83,16 +84,11 @@ func run(out io.Writer, path string, opts options) error {
 		fmt.Fprintln(out, trace.Summarize(events))
 	}
 	if opts.check {
-		var siRules bool
-		switch opts.mode {
-		case "si", "ssi":
-			siRules = true
-		case "2pl":
-			siRules = false
-		default:
-			return fmt.Errorf("unknown -mode %q (want si, ssi or 2pl)", opts.mode)
+		mode, err := core.ParseMode(opts.mode)
+		if err != nil {
+			return err
 		}
-		rep := onlinecheck.Run(events, onlinecheck.Config{SIRules: siRules})
+		rep := onlinecheck.Run(events, onlinecheck.Config{SIRules: mode != core.Strict2PL})
 		fmt.Fprint(out, rep.Describe())
 		if !rep.Serializable || rep.SIViolations != 0 {
 			return fmt.Errorf("isolation violations detected (%d cycle(s), %d SI-rule violation(s))",

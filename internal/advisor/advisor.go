@@ -63,6 +63,17 @@ type Platform struct {
 	Cost  engine.CostModel
 }
 
+// PlatformOf reads the cost profile an engine configured by cfg
+// charges (a nil cfg.Cost means the platform default, as in
+// engine.Open).
+func PlatformOf(cfg engine.Config) Platform {
+	p := Platform{Name: cfg.Platform, Res: cfg.Res, Fsync: cfg.WAL.FsyncLatency, Cost: engine.DefaultCostModel(cfg.Platform)}
+	if cfg.Cost != nil {
+		p.Cost = *cfg.Cost
+	}
+	return p
+}
+
 // Option is one candidate repair.
 type Option struct {
 	// Name identifies the option ("WC->TS:promote-upd", "all:materialize").

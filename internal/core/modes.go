@@ -74,3 +74,25 @@ func (p Platform) String() string {
 		return fmt.Sprintf("platform(%d)", uint8(p))
 	}
 }
+
+// ParseMode resolves a mode as spelled on the command line: si, 2pl or
+// ssi.
+func ParseMode(s string) (CCMode, error) {
+	for m, name := range [...]string{SnapshotFUW: "si", Strict2PL: "2pl", SerializableSI: "ssi"} {
+		if s == name {
+			return CCMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want si, 2pl or ssi)", s)
+}
+
+// ParsePlatform resolves a platform by its String name: postgres or
+// commercial.
+func ParsePlatform(s string) (Platform, error) {
+	for _, p := range []Platform{PlatformPostgres, PlatformCommercial} {
+		if s == p.String() {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown platform %q (want postgres or commercial)", s)
+}

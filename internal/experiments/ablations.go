@@ -7,7 +7,7 @@ import (
 
 	"sicost/internal/advisor"
 	"sicost/internal/core"
-	"sicost/internal/engine"
+	"sicost/internal/node"
 	"sicost/internal/smallbank"
 	"sicost/internal/workload"
 )
@@ -20,7 +20,7 @@ func runAblationFixedRow(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	return throughputFigure("ablation-fixedrow",
 		"Ablation: per-customer vs single-row materialization of the WT edge (PostgreSQL, hotspot 10, 60% Balance)",
-		cfg, PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
+		cfg, node.PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
 		[]*smallbank.Strategy{
 			smallbank.StrategySI,
 			smallbank.StrategyMaterializeWT,
@@ -57,13 +57,13 @@ func runAblationGroupCommit(cfg Config) (*Result, error) {
 		// silently re-enabling group commit.
 		{"no-group-commit", 1, true},
 	} {
-		engCfg := PostgresDB(cfg.Scale)
+		engCfg := node.PostgresDB(cfg.Scale)
 		engCfg.WAL.MaxBatch = variant.maxBatch
 		engCfg.WAL.SyncEveryGroup = variant.syncEvery
 		cfg.logf("ablation-groupcommit: %s", variant.name)
-		s, err := runSweep(variant.name, sweepSpec{
-			strategy: smallbank.StrategySI, engCfg: engCfg,
-			mix: workload.UniformMix(), hotspot: hotspotFor(cfg, defaultHotspot), hotProb: defaultHotProb,
+		s, err := runSweep(variant.name, engCfg, workload.Config{
+			Strategy: smallbank.StrategySI, Mix: workload.UniformMix(),
+			HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
 		}, cfg)
 		if err != nil {
 			return nil, err
@@ -98,9 +98,11 @@ func runAblationEngine(cfg Config) (*Result, error) {
 	}
 	for _, v := range variants {
 		cfg.logf("ablation-engine: %s", v.name)
-		s, err := runSweep(v.name, sweepSpec{
-			strategy: v.strategy, engCfg: ModeDB(v.mode, cfg.Scale),
-			mix: workload.UniformMix(), hotspot: hotspotFor(cfg, defaultHotspot), hotProb: defaultHotProb,
+		engCfg := node.PostgresDB(cfg.Scale)
+		engCfg.Mode = v.mode
+		s, err := runSweep(v.name, engCfg, workload.Config{
+			Strategy: v.strategy, Mix: workload.UniformMix(),
+			HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
 		}, cfg)
 		if err != nil {
 			return nil, err
@@ -120,12 +122,7 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 
 	// Predictions.
 	weights := map[string]float64{"Bal": 0.2, "DC": 0.2, "TS": 0.2, "Amg": 0.2, "WC": 0.2}
-	plat := advisor.Platform{
-		Name:  core.PlatformPostgres,
-		Res:   PostgresResources(cfg.Scale),
-		Fsync: LogDevice(cfg.Scale).FsyncLatency,
-		Cost:  engine.DefaultCostModel(core.PlatformPostgres).Scaled(cfg.Scale),
-	}
+	plat := advisor.PlatformOf(node.PostgresDB(cfg.Scale))
 	hot := hotspotFor(cfg, defaultHotspot)
 	preds, err := advisor.Advise(smallbank.BasePrograms(), advisor.Workload{
 		Weights: weights, HotspotSize: hot, HotspotProb: defaultHotProb, MPL: 20,
@@ -144,26 +141,10 @@ func runAblationAdvisor(cfg Config) (*Result, error) {
 		"all:promote-upd":     smallbank.StrategyPromoteALL,
 	}
 	measure := func(s *smallbank.Strategy) (float64, error) {
-		var tps []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-			if err != nil {
-				return 0, err
-			}
-			out, err := workload.Run(db, workload.Config{
-				Strategy: s, MPL: 20, Customers: cfg.Customers,
-				HotspotSize: hot, HotspotProb: defaultHotProb,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
-			})
-			db.Close()
-			if err != nil {
-				return 0, err
-			}
-			tps = append(tps, out.TPS)
-		}
-		mean, _ := ci95(tps)
-		return mean, nil
+		mean, _, err := cfg.measure(node.PostgresDB(cfg.Scale), workload.Config{
+			Strategy: s, MPL: 20, HotspotSize: hot, HotspotProb: defaultHotProb,
+		}, tps)
+		return mean, err
 	}
 
 	type rowT struct {
@@ -247,25 +228,13 @@ func runAblationLatency(cfg Config) (*Result, error) {
 	} {
 		series := Series{Name: s.Name}
 		for _, mpl := range cfg.MPLs {
-			var ms []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-				if err != nil {
-					return nil, err
-				}
-				out, err := workload.Run(db, workload.Config{
-					Strategy: s, MPL: mpl, Customers: cfg.Customers,
-					HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
-					Ramp: cfg.Ramp, Measure: cfg.Measure,
-					Seed: cfg.Seed + int64(rep+1)*104729,
-				})
-				db.Close()
-				if err != nil {
-					return nil, err
-				}
-				ms = append(ms, float64(out.MeanLatency.Microseconds())/1000)
+			mean, ci, err := cfg.measure(node.PostgresDB(cfg.Scale), workload.Config{
+				Strategy: s, MPL: mpl,
+				HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
+			}, func(r *workload.Result) float64 { return float64(r.MeanLatency.Microseconds()) / 1000 })
+			if err != nil {
+				return nil, err
 			}
-			mean, ci := ci95(ms)
 			series.Points = append(series.Points, Point{Label: fmt.Sprintf("%d", mpl), Mean: mean, CI: ci})
 			cfg.logf("  %-18s MPL %-3d  %6.2f ms ±%.2f", s.Name, mpl, mean, ci)
 		}
@@ -300,26 +269,13 @@ func runAblationHotspot(cfg Config) (*Result, error) {
 			if hs >= cfg.Customers {
 				hs = cfg.Customers / 2
 			}
-			var tps []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-				if err != nil {
-					return nil, err
-				}
-				out, err := workload.Run(db, workload.Config{
-					Strategy: s, MPL: 20, Customers: cfg.Customers,
-					HotspotSize: hs, HotspotProb: defaultHotProb,
-					Mix:  workload.BalanceHeavyMix(0.6),
-					Ramp: cfg.Ramp, Measure: cfg.Measure,
-					Seed: cfg.Seed + int64(rep+1)*104729,
-				})
-				db.Close()
-				if err != nil {
-					return nil, err
-				}
-				tps = append(tps, out.TPS)
+			mean, ci, err := cfg.measure(node.PostgresDB(cfg.Scale), workload.Config{
+				Strategy: s, MPL: 20, HotspotSize: hs, HotspotProb: defaultHotProb,
+				Mix: workload.BalanceHeavyMix(0.6),
+			}, tps)
+			if err != nil {
+				return nil, err
 			}
-			mean, ci := ci95(tps)
 			series.Points = append(series.Points, Point{Label: fmt.Sprintf("%d", h), Mean: mean, CI: ci})
 			cfg.logf("  %-18s hotspot %-5d %8.0f TPS ±%.0f", s.Name, h, mean, ci)
 		}

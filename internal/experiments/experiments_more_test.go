@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sicost/internal/node"
 )
 
 func tinyCfg() Config {
@@ -174,21 +176,21 @@ func TestAblationLatencyQuick(t *testing.T) {
 }
 
 func TestProfilesScale(t *testing.T) {
-	pg := PostgresResources(2)
+	pg := node.PostgresResources(2)
 	if pg.TxnCPU != 600*time.Microsecond {
 		t.Fatalf("scaled TxnCPU = %v", pg.TxnCPU)
 	}
-	cm := CommercialResources(1)
+	cm := node.CommercialResources(1)
 	if cm.SessionKnee != 20 || cm.SessionOverhead == 0 {
 		t.Fatal("commercial knee lost")
 	}
-	if LogDevice(2).FsyncLatency != 5*time.Millisecond {
+	if node.LogDevice(2).FsyncLatency != 5*time.Millisecond {
 		t.Fatal("log device scale")
 	}
-	if PostgresDB(1).Cost == nil || CommercialDB(1).Cost == nil {
+	if node.PostgresDB(1).Cost == nil || node.CommercialDB(1).Cost == nil {
 		t.Fatal("profiles must pin their cost models")
 	}
-	if PostgresDB(1).Mode != CommercialDB(1).Mode {
+	if node.PostgresDB(1).Mode != node.CommercialDB(1).Mode {
 		t.Fatal("both platforms run SI")
 	}
 }

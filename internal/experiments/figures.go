@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"sicost/internal/node"
 	"sicost/internal/smallbank"
 	"sicost/internal/workload"
 )
@@ -29,7 +30,7 @@ func hotspotFor(cfg Config, want int) int {
 func runFig4(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	return throughputFigure("fig4", "Figure 4: costs for SI-serializability when eliminating ALL vulnerable edges (PostgreSQL)",
-		cfg, PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
+		cfg, node.PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
 		[]*smallbank.Strategy{
 			smallbank.StrategySI,
 			smallbank.StrategyMaterializeALL,
@@ -55,7 +56,7 @@ func fig5Strategies() []*smallbank.Strategy {
 func runFig5a(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	return throughputFigure("fig5a", "Figure 5(a): throughput over MPL, Options WT and BW (PostgreSQL)",
-		cfg, PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
+		cfg, node.PostgresDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
 		fig5Strategies(),
 		"Paper shape: PromoteWT indistinguishable from SI; MaterializeWT ~90% of SI's peak;",
 		"BW options pay ~20% at MPL=1 (Balance must hit the log disk) and converge upward.",
@@ -95,18 +96,11 @@ func runFig6(cfg Config) (*Result, error) {
 		series := Series{Name: s.Name}
 		byType := make([][]float64, smallbank.NumTxnTypes)
 		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(PostgresDB(cfg.Scale), cfg)
-			if err != nil {
-				return nil, err
-			}
-			out, err := workload.Run(db, workload.Config{
-				Strategy: s,
-				MPL:      20, Customers: cfg.Customers,
+			out, err := cfg.run(node.PostgresDB(cfg.Scale), rep, workload.Config{
+				Strategy:    s,
+				MPL:         20,
 				HotspotSize: hotspotFor(cfg, defaultHotspot), HotspotProb: defaultHotProb,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
 			})
-			db.Close()
 			if err != nil {
 				return nil, err
 			}
@@ -129,7 +123,7 @@ func runFig6(cfg Config) (*Result, error) {
 func runFig7(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	return throughputFigure("fig7", "Figure 7: costs with high contention (PostgreSQL; hotspot 10, 60% Balance)",
-		cfg, PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
+		cfg, node.PostgresDB(cfg.Scale), workload.BalanceHeavyMix(0.6), 10, defaultHotProb,
 		[]*smallbank.Strategy{
 			smallbank.StrategySI,
 			smallbank.StrategyMaterializeBW,
@@ -148,7 +142,7 @@ func runFig7(cfg Config) (*Result, error) {
 func runFig8(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	abs, err := throughputFigure("fig8a", "Figure 8(a): Option WT throughput (Commercial Platform)",
-		cfg, CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
+		cfg, node.CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
 		[]*smallbank.Strategy{
 			smallbank.StrategySI,
 			smallbank.StrategyMaterializeWT,
@@ -170,7 +164,7 @@ func runFig8(cfg Config) (*Result, error) {
 func runFig9(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	abs, err := throughputFigure("fig9a", "Figure 9(a): Option BW throughput (Commercial Platform)",
-		cfg, CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
+		cfg, node.CommercialDB(cfg.Scale), workload.UniformMix(), hotspotFor(cfg, defaultHotspot), defaultHotProb,
 		[]*smallbank.Strategy{
 			smallbank.StrategySI,
 			smallbank.StrategyMaterializeBW,

@@ -1,3 +1,8 @@
+// Package experiments defines one runner per table and figure of the
+// paper's evaluation (§IV), plus the ablation studies listed in
+// DESIGN.md. Each experiment builds the appropriate platform profile,
+// loads SmallBank, drives the closed-system workload across the
+// configured MPLs and renders the same rows/series the paper reports.
 package experiments
 
 import (
@@ -8,6 +13,7 @@ import (
 
 	"sicost/internal/engine"
 	"sicost/internal/metrics"
+	"sicost/internal/node"
 	"sicost/internal/smallbank"
 	"sicost/internal/workload"
 )
@@ -151,60 +157,48 @@ func ids() []string {
 	return out
 }
 
-// newLoadedDB opens an engine with the given config, loads SmallBank on
-// free hardware, then installs the measured resource model.
-func newLoadedDB(engCfg engine.Config, cfg Config) (*engine.DB, error) {
-	measured := engCfg.Res
-	engCfg.Res = PostgresResources(0) // free machine while loading
-	engCfg.Res.VirtualCPUs = 0
-	db := engine.Open(engCfg)
-	if err := smallbank.CreateSchema(db); err != nil {
-		db.Close()
+// run measures one repetition of one point: it opens a freshly loaded
+// engine, drives w on it with the run's customers, intervals and the
+// repetition's seed, and closes it.
+func (c Config) run(engCfg engine.Config, rep int, w workload.Config) (*workload.Result, error) {
+	n, err := node.Open(node.Options{Engine: engCfg, Customers: c.Customers, Seed: c.Seed})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed}); err != nil {
-		db.Close()
-		return nil, err
+	defer n.Close()
+	w.Customers, w.Ramp, w.Measure = c.Customers, c.Ramp, c.Measure
+	w.Seed = c.Seed + int64(rep+1)*104729
+	return workload.Run(n.DB, w)
+}
+
+// measure runs cfg.Reps repetitions of w on fresh engines and returns
+// the mean of metric over them with its 95% confidence interval.
+func (c Config) measure(engCfg engine.Config, w workload.Config, metric func(*workload.Result) float64) (mean, ci float64, err error) {
+	xs := make([]float64, c.Reps)
+	for rep := range xs {
+		res, err := c.run(engCfg, rep, w)
+		if err != nil {
+			return 0, 0, err
+		}
+		xs[rep] = metric(res)
 	}
-	db.SetResources(measured)
-	return db, nil
+	mean, ci = metrics.CI95(xs)
+	return mean, ci, nil
 }
 
-// sweepSpec describes one throughput-over-MPL sweep.
-type sweepSpec struct {
-	strategy *smallbank.Strategy
-	engCfg   engine.Config
-	mix      workload.Mix
-	hotspot  int
-	hotProb  float64
-}
+// tps is measure's throughput metric.
+func tps(r *workload.Result) float64 { return r.TPS }
 
-// runSweep measures TPS for each MPL with cfg.Reps repetitions and
-// returns the series with 95% confidence intervals.
-func runSweep(name string, spec sweepSpec, cfg Config) (Series, error) {
+// runSweep measures the TPS of w at each MPL with cfg.Reps repetitions
+// and returns the series with 95% confidence intervals.
+func runSweep(name string, engCfg engine.Config, w workload.Config, cfg Config) (Series, error) {
 	s := Series{Name: name}
 	for _, mpl := range cfg.MPLs {
-		var tps []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			db, err := newLoadedDB(spec.engCfg, cfg)
-			if err != nil {
-				return s, err
-			}
-			res, err := workload.Run(db, workload.Config{
-				Strategy: spec.strategy,
-				MPL:      mpl, Customers: cfg.Customers,
-				HotspotSize: spec.hotspot, HotspotProb: spec.hotProb,
-				Mix:  spec.mix,
-				Ramp: cfg.Ramp, Measure: cfg.Measure,
-				Seed: cfg.Seed + int64(rep+1)*104729,
-			})
-			db.Close()
-			if err != nil {
-				return s, err
-			}
-			tps = append(tps, res.TPS)
+		w.MPL = mpl
+		mean, ci, err := cfg.measure(engCfg, w, tps)
+		if err != nil {
+			return s, err
 		}
-		mean, ci := metrics.CI95(tps)
 		s.Points = append(s.Points, Point{Label: fmt.Sprintf("%d", mpl), Mean: mean, CI: ci})
 		cfg.logf("  %-22s MPL %-3d  %8.0f TPS ±%.0f", name, mpl, mean, ci)
 	}
@@ -223,8 +217,8 @@ func throughputFigure(id, title string, cfg Config, engCfg engine.Config, mix wo
 	}
 	for _, s := range strategies {
 		cfg.logf("%s: strategy %s", id, s.Name)
-		series, err := runSweep(s.Name, sweepSpec{
-			strategy: s, engCfg: engCfg, mix: mix, hotspot: hotspot, hotProb: hotProb,
+		series, err := runSweep(s.Name, engCfg, workload.Config{
+			Strategy: s, Mix: mix, HotspotSize: hotspot, HotspotProb: hotProb,
 		}, cfg)
 		if err != nil {
 			return nil, err

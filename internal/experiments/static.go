@@ -6,6 +6,7 @@ import (
 
 	"sicost/internal/core"
 	"sicost/internal/engine"
+	"sicost/internal/node"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
@@ -180,9 +181,13 @@ func runAnomaly(cfg Config) (*Result, error) {
 	var b strings.Builder
 
 	freshDB := func(mode core.CCMode) (*engine.DB, error) {
-		engCfg := ModeDB(mode, 0) // semantics only: free hardware
-		engCfg.WAL.FsyncLatency = 0
-		return newLoadedDB(engCfg, Config{Customers: 50, Seed: cfg.Seed}.Defaults())
+		engCfg := node.PostgresDB(0) // semantics only: measured costs
+		engCfg.Mode = mode
+		n, err := node.Open(node.Options{Engine: engCfg, Customers: 50, Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		return n.DB, nil // memory only: closing the DB closes the node
 	}
 
 	// Deterministic script, plain SI: must commit and show the anomaly.

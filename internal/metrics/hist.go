@@ -17,11 +17,11 @@ import (
 const HistBuckets = 48
 
 // Histogram is a concurrent, allocation-free latency histogram with
-// fixed log-spaced buckets. Unlike LatencyRecorder (exact samples,
-// single-owner), Histogram is safe for concurrent Record from many
-// goroutines — every field is atomic — which is what the engine's hot
-// paths need: recording is a few atomic adds plus one CAS loop for the
-// maximum, and reading is always a consistent-enough Snapshot.
+// fixed log-spaced buckets, so its memory does not grow with the run.
+// It is safe for concurrent Record from many goroutines — every field
+// is atomic — which is what the engine's hot paths and the workload
+// clients need: recording is a few atomic adds plus one CAS loop for
+// the maximum, and reading is always a consistent-enough Snapshot.
 //
 // The zero value is ready to use.
 type Histogram struct {

@@ -134,21 +134,69 @@ func TestTxnMetricsSnapshotDelta(t *testing.T) {
 	}
 }
 
+// TestLatencyRecorder pins what the workload driver reads from its
+// latency recorder, a Histogram: an exact count and mean (sum/count),
+// bucket-interpolated quantiles within a factor of two, and the exact
+// maximum at q=1.
+func TestLatencyRecorder(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{10, 20, 30, 40, 50} {
+		h.Record(d * time.Millisecond)
+	}
+	s := h.Snapshot()
+	if s.Count != 5 || s.Mean() != 30*time.Millisecond {
+		t.Fatalf("count %d mean %v, want 5 and exactly 30ms", s.Count, s.Mean())
+	}
+	if q := s.Quantile(0.5); q < 15*time.Millisecond || q > 60*time.Millisecond {
+		t.Fatalf("median = %v, want within a factor of two of 30ms", q)
+	}
+	if q := s.Quantile(1.0); q != 50*time.Millisecond {
+		t.Fatalf("max = %v, want 50ms", q)
+	}
+}
+
+// TestLatencyRecorderMergeSnapshot is the driver's pattern: clients
+// record concurrently into shared per-type histograms, and the
+// coordinator sums the snapshots' counts and sums into an exact mean.
+func TestLatencyRecorderMergeSnapshot(t *testing.T) {
+	var perType [2]Histogram
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for j := 0; j < 100; j++ {
+				perType[(w+j)%2].Record(time.Duration(j) * time.Microsecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	var n, sum uint64
+	for i := range perType {
+		s := perType[i].Snapshot()
+		n, sum = n+s.Count, sum+s.SumNanos
+	}
+	if n != 400 {
+		t.Fatalf("merged count = %d, want 400", n)
+	}
+	if mean := time.Duration(sum / n); mean != 49500*time.Nanosecond {
+		t.Fatalf("merged mean = %v, want 49.5µs", mean)
+	}
+}
+
 // TestLatencyRecorderMaxRace is the -race regression test for the
-// max-latency accounting: Max must be readable from a monitor goroutine
-// while the owner records, and the final maximum must never be lost.
-// Before maxNanos was CAS-maintained, a monitor's read raced the
-// owner's update and the race detector flagged it (and a racing
-// read-modify-write could publish a stale, smaller maximum).
+// max-latency accounting: a monitor goroutine snapshots the maximum
+// while the owner records, the maximum never goes backwards, and the
+// final maximum is never lost.
 func TestLatencyRecorderMaxRace(t *testing.T) {
-	var r LatencyRecorder
+	var h Histogram
 	const n = 5000
 	done := make(chan struct{})
-	go func() { // monitor: polls Max concurrently with the owner's Adds
+	go func() { // monitor: polls the maximum concurrently with Record
 		defer close(done)
 		var last time.Duration
 		for i := 0; i < n; i++ {
-			m := r.Max()
+			m := h.Snapshot().Max()
 			if m < last {
 				t.Errorf("Max went backwards: %v after %v", m, last)
 				return
@@ -157,20 +205,10 @@ func TestLatencyRecorderMaxRace(t *testing.T) {
 		}
 	}()
 	for i := 1; i <= n; i++ { // owner goroutine
-		r.Add(time.Duration(i))
+		h.Record(time.Duration(i))
 	}
 	<-done
-	if r.Max() != time.Duration(n) {
-		t.Fatalf("max = %v, want %v", r.Max(), time.Duration(n))
-	}
-	snap := r.Snapshot()
-	if snap.Max() != time.Duration(n) {
-		t.Fatalf("snapshot max = %v, want %v", snap.Max(), time.Duration(n))
-	}
-	var merged LatencyRecorder
-	merged.Add(7 * time.Nanosecond)
-	merged.Merge(snap)
-	if merged.Max() != time.Duration(n) {
-		t.Fatalf("merged max = %v, want %v", merged.Max(), time.Duration(n))
+	if m := h.Snapshot().Max(); m != time.Duration(n) {
+		t.Fatalf("max = %v, want %v", m, time.Duration(n))
 	}
 }

@@ -163,9 +163,9 @@ type TypeStats struct {
 	// GiveUps counts interactions abandoned when the retry policy
 	// refused another attempt (retry or budget exhaustion).
 	GiveUps int64
-	// Latency records the client-perceived response time of each
-	// completed interaction (including its retries and backoff).
-	Latency metrics.LatencyRecorder
+	// Latency is the client-perceived response-time distribution of
+	// each completed interaction (including its retries and backoff).
+	Latency metrics.HistSnapshot
 }
 
 // TotalAborts sums aborts across reasons.
@@ -298,6 +298,8 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 
 	var wg sync.WaitGroup
 	stats := make([]*clientStats, cfg.MPL)
+	// One response-time histogram per type, shared by every client.
+	var latency [smallbank.NumTxnTypes]metrics.Histogram
 	for c := 0; c < cfg.MPL; c++ {
 		stats[c] = newClientStats()
 		wg.Add(1)
@@ -306,7 +308,7 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 			db.Machine().EnterSession()
 			defer db.Machine().LeaveSession()
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-			client(db, cfg, rng, cs, measureStart, deadline)
+			client(db, cfg, rng, cs, &latency, measureStart, deadline)
 		}(c, stats[c])
 	}
 	wg.Wait()
@@ -318,7 +320,6 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 	for i := range res.PerType {
 		res.PerType[i].Aborts = make(map[core.AbortReason]int64)
 	}
-	var lat metrics.LatencyRecorder
 	for _, cs := range stats {
 		res.CommittedDelta += cs.ledger
 		for i := range cs.perType {
@@ -329,21 +330,23 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 			res.PerType[i].Retries += cs.perType[i].Retries
 			res.PerType[i].Backoff += cs.perType[i].Backoff
 			res.PerType[i].GiveUps += cs.perType[i].GiveUps
-			res.PerType[i].Latency.Merge(&cs.perType[i].Latency)
-			lat.Merge(&cs.perType[i].Latency)
 		}
 	}
+	var latN, latSum uint64
 	for i := range res.PerType {
+		res.PerType[i].Latency = latency[i].Snapshot()
+		latN += res.PerType[i].Latency.Count
+		latSum += res.PerType[i].Latency.SumNanos
 		res.Retries += res.PerType[i].Retries
 		res.BackoffTime += res.PerType[i].Backoff
 		res.GiveUps += res.PerType[i].GiveUps
-	}
-	for i := range res.PerType {
 		res.Commits += res.PerType[i].Commits
 		res.Aborts += res.PerType[i].TotalAborts()
 	}
 	res.TPS = float64(res.Commits) / cfg.Measure.Seconds()
-	res.MeanLatency = lat.Mean()
+	if latN > 0 {
+		res.MeanLatency = time.Duration(latSum / latN)
+	}
 	res.Contention = db.Contention().Delta(contBase)
 	res.Engine = db.TxnMetrics().Delta(engineBase)
 	if budget != nil {
@@ -355,7 +358,7 @@ func Run(db *engine.DB, cfg Config) (*Result, error) {
 // client is one closed-system thread: run a transaction, wait for the
 // reply, immediately start the next (§IV: "no think time"), or sleep
 // first when the retry policy prescribes backoff.
-func client(db *engine.DB, cfg Config, rng *rand.Rand, cs *clientStats, measureStart, deadline time.Time) {
+func client(db *engine.DB, cfg Config, rng *rand.Rand, cs *clientStats, latency *[smallbank.NumTxnTypes]metrics.Histogram, measureStart, deadline time.Time) {
 	for {
 		now := time.Now()
 		if now.After(deadline) {
@@ -411,7 +414,7 @@ func client(db *engine.DB, cfg Config, rng *rand.Rand, cs *clientStats, measureS
 			}
 		}
 		if committed && measuring {
-			cs.perType[typ].Latency.Add(time.Since(begin))
+			latency[typ].Record(time.Since(begin))
 		}
 	}
 }

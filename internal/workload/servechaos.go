@@ -11,8 +11,8 @@ import (
 	"time"
 
 	"sicost/internal/core"
-	"sicost/internal/engine"
 	"sicost/internal/faultinject"
+	"sicost/internal/node"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/server"
 	"sicost/internal/smallbank"
@@ -113,16 +113,13 @@ func runServerChaosCycle(cfg ServerChaosConfig, cycle int, mode core.CCMode, rep
 	}
 
 	faults := faultinject.New(cfg.Seed + int64(cycle)*7919)
-	db := engine.Open(engine.Config{
-		Mode: mode, Platform: core.PlatformPostgres,
-		LockWaitTimeout: 250 * time.Millisecond,
-	})
-	if err := smallbank.CreateSchema(db); err != nil {
+	engCfg := node.PostgresDB(0)
+	engCfg.Mode, engCfg.LockWaitTimeout = mode, 250*time.Millisecond
+	n, err := node.Open(node.Options{Engine: engCfg, Customers: cfg.Customers, Seed: cfg.Seed})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := smallbank.Load(db, smallbank.LoadConfig{Customers: cfg.Customers, Seed: cfg.Seed}); err != nil {
-		return nil, err
-	}
+	db := n.DB
 	initial, err := smallbank.TotalMoney(db)
 	if err != nil {
 		return nil, err

@@ -38,6 +38,7 @@ import (
 	"sicost/internal/core"
 	"sicost/internal/engine"
 	"sicost/internal/experiments"
+	"sicost/internal/node"
 	"sicost/internal/onlinecheck"
 	"sicost/internal/sdg"
 	"sicost/internal/smallbank"
@@ -255,6 +256,6 @@ var (
 	AllExperiments   = experiments.All
 	ExperimentByID   = experiments.ByID
 	RenderExperiment = experiments.Render
-	PostgresDB       = experiments.PostgresDB
-	CommercialDB     = experiments.CommercialDB
+	PostgresDB       = node.PostgresDB
+	CommercialDB     = node.CommercialDB
 )
